@@ -131,4 +131,15 @@ struct OptimalOptions {
 /// and measures it).
 [[nodiscard]] double optimal_energy(const Instance& instance, const PowerFunction& p);
 
+namespace detail {
+
+/// One round of the offline engine at a caller-chosen speed: builds G(J, m, s)
+/// over every positive-work job with min(n_j, m) processors reserved per atomic
+/// interval and reports whether the max flow saturates every source edge
+/// (w_k / s each). ext/bounded_speed decides speed-cap feasibility with it; not
+/// a supported entry point of its own.
+[[nodiscard]] bool fits_at_speed(const Instance& instance, const Q& speed);
+
+}  // namespace detail
+
 }  // namespace mpss

@@ -1,143 +1,13 @@
+// FastSchedule measurement helpers and the fast engine's convenience entry
+// point. The engine itself is the shared phase/round loop in optimal.cpp,
+// instantiated over doubles.
+
 #include "mpss/core/optimal_fast.hpp"
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <span>
-
-#include "mpss/core/intervals.hpp"
-#include "mpss/flow/dinic.hpp"
-#include "mpss/obs/histogram.hpp"
-#include "mpss/obs/span.hpp"
-#include "mpss/obs/trace.hpp"
-#include "mpss/util/arena.hpp"
-#include "mpss/util/error.hpp"
 
 namespace mpss {
-namespace {
-
-constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-
-/// Atomic intervals in double precision (exact points converted, then dedup'd).
-struct FastIntervals {
-  std::vector<double> points;
-
-  explicit FastIntervals(const Instance& instance) {
-    points.reserve(instance.size() * 2);
-    for (const Job& job : instance.jobs()) {
-      points.push_back(job.release.to_double());
-      points.push_back(job.deadline.to_double());
-    }
-    std::sort(points.begin(), points.end());
-    points.erase(std::unique(points.begin(), points.end()), points.end());
-    if (points.size() == 1) points.clear();
-  }
-
-  [[nodiscard]] std::size_t count() const {
-    return points.empty() ? 0 : points.size() - 1;
-  }
-  [[nodiscard]] double start(std::size_t j) const { return points[j]; }
-  [[nodiscard]] double end(std::size_t j) const { return points[j + 1]; }
-  [[nodiscard]] double length(std::size_t j) const { return end(j) - start(j); }
-};
-
-/// One phase's flow network in doubles plus extraction/editing bookkeeping,
-/// mirroring the exact engine's RoundNetwork (edge vectors addressed by
-/// build-time candidate position).
-struct FastRound {
-  FlowNetwork<double> net;
-  std::size_t source = 0;
-  std::size_t sink = 0;
-  std::vector<FlowNetwork<double>::EdgeId> source_edges;
-  std::vector<std::vector<std::size_t>> job_edge_interval;
-  std::vector<std::vector<FlowNetwork<double>::EdgeId>> job_edges;
-  std::vector<FlowNetwork<double>::EdgeId> sink_edges;
-  std::vector<std::size_t> sink_edge_interval;
-  std::vector<std::size_t> interval_sink_edge;
-};
-
-FastRound build_fast_network(const std::vector<double>& work,
-                             const FastIntervals& intervals,
-                             const std::vector<std::size_t>& candidates,
-                             const ActiveBitmap& active,
-                             std::span<const std::size_t> count_active,
-                             std::span<const std::size_t> reserved, double speed,
-                             Arena& scratch) {
-  FastRound round;
-  round.net.set_scratch_arena(&scratch);
-  const std::size_t interval_count = intervals.count();
-
-  std::size_t live_intervals = 0;
-  std::size_t job_edge_count = 0;
-  for (std::size_t j = 0; j < interval_count; ++j) {
-    if (reserved[j] == 0) continue;
-    ++live_intervals;
-    job_edge_count += count_active[j];
-  }
-  round.net.reserve_nodes(2 + candidates.size() + live_intervals);
-  round.net.reserve_edges(candidates.size() + job_edge_count + live_intervals);
-
-  round.source = round.net.add_node();
-  std::size_t first_job = round.net.add_nodes(candidates.size());
-  std::span<std::size_t> interval_node =
-      scratch.alloc_array<std::size_t>(interval_count, kNone);
-  for (std::size_t j = 0; j < interval_count; ++j) {
-    if (reserved[j] > 0) interval_node[j] = round.net.add_node();
-  }
-  round.sink = round.net.add_node();
-
-  round.source_edges.reserve(candidates.size());
-  round.job_edges.resize(candidates.size());
-  round.job_edge_interval.resize(candidates.size());
-  for (std::size_t pos = 0; pos < candidates.size(); ++pos) {
-    std::size_t job = candidates[pos];
-    round.source_edges.push_back(
-        round.net.add_edge(round.source, first_job + pos, work[job] / speed));
-    for (std::size_t j = 0; j < interval_count; ++j) {
-      if (reserved[j] == 0 || !active.test(j, job)) continue;
-      round.job_edges[pos].push_back(
-          round.net.add_edge(first_job + pos, interval_node[j], intervals.length(j)));
-      round.job_edge_interval[pos].push_back(j);
-    }
-  }
-  round.interval_sink_edge.assign(interval_count, kNone);
-  for (std::size_t j = 0; j < interval_count; ++j) {
-    if (reserved[j] == 0) continue;
-    round.interval_sink_edge[j] = round.sink_edges.size();
-    round.sink_edges.push_back(
-        round.net.add_edge(interval_node[j], round.sink,
-                           static_cast<double>(reserved[j]) * intervals.length(j)));
-    round.sink_edge_interval.push_back(j);
-  }
-  return round;
-}
-
-/// Double-precision counterpart of the exact engine's retract_job_flow: drains
-/// `amount` flow entering build-position `bpos`'s job vertex along edge triples.
-/// Retractions on the shared source/sink edges are clamped to their current
-/// flow, absorbing the ulp-level drift between a job's edge flows and their sum.
-std::uint64_t retract_job_flow(FastRound& round, std::size_t bpos, double amount) {
-  std::uint64_t operations = 0;
-  for (std::size_t idx = 0; idx < round.job_edges[bpos].size(); ++idx) {
-    if (amount <= 0.0) break;
-    FlowNetwork<double>::EdgeId edge = round.job_edges[bpos][idx];
-    double carried = round.net.flow(edge);
-    if (carried <= 0.0) continue;
-    double delta = std::min(carried, amount);
-    std::size_t j = round.job_edge_interval[bpos][idx];
-    FlowNetwork<double>::EdgeId source_edge = round.source_edges[bpos];
-    FlowNetwork<double>::EdgeId sink_edge =
-        round.sink_edges[round.interval_sink_edge[j]];
-    round.net.retract_flow(edge, delta);
-    round.net.retract_flow(source_edge, std::min(delta, round.net.flow(source_edge)));
-    round.net.retract_flow(sink_edge, std::min(delta, round.net.flow(sink_edge)));
-    amount -= delta;
-    ++operations;
-  }
-  return operations;
-}
-
-}  // namespace
 
 std::size_t FastSchedule::slice_count() const {
   std::size_t total = 0;
@@ -209,263 +79,6 @@ FastOptimalResult optimal_schedule_fast(const Instance& instance, double epsilon
   FastOptimalOptions options;
   options.epsilon = epsilon;
   return optimal_schedule_fast(instance, options, trace);
-}
-
-FastOptimalResult optimal_schedule_fast(const Instance& instance,
-                                        const FastOptimalOptions& options,
-                                        obs::TraceSink* trace) {
-  const double epsilon = options.epsilon;
-  check_arg(epsilon > 0.0 && epsilon < 0.1, "optimal_schedule_fast: bad epsilon");
-  FastIntervals intervals(instance);
-  const std::size_t interval_count = intervals.count();
-  const std::size_t m = instance.machines();
-
-  FastOptimalResult result;
-  result.schedule.machines.resize(m);
-  // Per-solve scratch arena (S46), pooled per thread; see optimal.cpp.
-  ScopedArena scratch;
-  const std::uint64_t arena_fallback_base = scratch->stats().fallback_allocs;
-  // Span before timer: the solve span covers stats.wall_seconds (see optimal.cpp).
-  obs::SpanScope solve_span(trace, "optimal_fast.solve");
-  obs::ScopedTimer timer;
-  result.stats.counters.set("optimal_fast.intervals", interval_count);
-  obs::emit(trace, obs::EventKind::kSolveStart, "optimal_fast.solve",
-            instance.size(), m);
-
-  std::vector<std::size_t> remaining;
-  std::vector<double> work(instance.size(), 0.0);
-  for (std::size_t k = 0; k < instance.size(); ++k) {
-    work[k] = instance.job(k).work.to_double();
-    if (work[k] > 0.0) remaining.push_back(k);
-  }
-
-  // Row j, column k: job k active in interval I_j, under the fast path's
-  // epsilon-padded containment test (converted endpoints can drift by an ulp).
-  ActiveBitmap active(interval_count, instance.size());
-  for (std::size_t k = 0; k < instance.size(); ++k) {
-    double release = instance.job(k).release.to_double();
-    double deadline = instance.job(k).deadline.to_double();
-    for (std::size_t j = 0; j < interval_count; ++j) {
-      if (release <= intervals.start(j) + 1e-15 &&
-          intervals.end(j) <= deadline + 1e-15) {
-        active.set(j, k);
-      }
-    }
-  }
-  std::span<std::uint64_t> candidate_mask = scratch->alloc_array<std::uint64_t>(
-      ActiveBitmap::words_for(instance.size()), std::uint64_t{0});
-
-  std::span<std::size_t> used =
-      scratch->alloc_array<std::size_t>(interval_count, std::size_t{0});
-  std::span<std::size_t> count_active =
-      scratch->alloc_array<std::size_t>(interval_count, std::size_t{0});
-
-  std::uint64_t warm_starts = 0;
-  std::uint64_t retracted_units = 0;
-  std::uint64_t resume_bfs = 0;
-
-  obs::HistogramData round_us;
-  obs::HistogramData rounds_per_phase;
-  obs::HistogramData resume_bfs_hist;
-
-  while (!remaining.empty()) {
-    poll_cancellation(options.cancel);
-    obs::SpanScope phase_span(trace, "optimal_fast.phase");
-    std::vector<std::size_t> candidates = remaining;
-    std::ranges::fill(candidate_mask, 0);
-    for (std::size_t job : candidates) ActiveBitmap::mask_set(candidate_mask, job);
-    std::span<std::size_t> reserved =
-        scratch->alloc_array<std::size_t>(interval_count, std::size_t{0});
-    double speed = 0.0;
-    const std::size_t phase_index = result.phase_speeds.size();
-    std::size_t rounds = 0;
-    obs::emit(trace, obs::EventKind::kPhaseStart, "optimal_fast.phase", phase_index,
-              candidates.size());
-
-    FastRound round;
-    std::vector<std::size_t> built_pos;  // current candidate pos -> build pos
-    bool built = false;
-
-    for (;;) {
-      // Round boundary: no half-applied capacity edit is in flight here, so
-      // this is the fine-grained cancellation checkpoint (see optimal.cpp).
-      poll_cancellation(options.cancel);
-      obs::SpanScope round_span(trace, "optimal_fast.round");
-      obs::ScopedHistogramTimer round_timer(round_us);
-      check_internal(!candidates.empty(),
-                     "optimal_schedule_fast: candidate set emptied");
-      ++rounds;
-      ++result.flow_computations;
-
-      double reserved_time = 0.0;
-      double total_work = 0.0;
-      for (std::size_t j = 0; j < interval_count; ++j) {
-        count_active[j] = active.row_and_popcount(j, candidate_mask);
-        const std::size_t r = std::min(count_active[j], m - used[j]);
-        if (built && r != reserved[j]) {
-          // Reservations only shrink within a phase; clamp to the carried flow
-          // so ulp-level drift cannot trip the capacity >= flow precondition.
-          FlowNetwork<double>::EdgeId edge =
-              round.sink_edges[round.interval_sink_edge[j]];
-          double cap = static_cast<double>(r) * intervals.length(j);
-          round.net.set_capacity(edge, std::max(cap, round.net.flow(edge)));
-        }
-        reserved[j] = r;
-        reserved_time += static_cast<double>(r) * intervals.length(j);
-      }
-      for (std::size_t job : candidates) total_work += work[job];
-      check_internal(reserved_time > 0.0, "optimal_schedule_fast: no capacity left");
-      speed = total_work / reserved_time;
-
-      double flow_value = 0.0;
-      if (!built) {
-        round = build_fast_network(work, intervals, candidates, active, count_active,
-                                   reserved, speed, *scratch);
-        built_pos.resize(candidates.size());
-        std::iota(built_pos.begin(), built_pos.end(), std::size_t{0});
-        built = options.incremental;
-        flow_value = round.net.max_flow(round.source, round.sink);
-      } else {
-        for (std::size_t pos = 0; pos < candidates.size(); ++pos) {
-          FlowNetwork<double>::EdgeId edge = round.source_edges[built_pos[pos]];
-          double cap = work[candidates[pos]] / speed;
-          double excess = round.net.flow(edge) - cap;
-          if (excess > 0.0) {
-            retracted_units += retract_job_flow(round, built_pos[pos], excess);
-          }
-          round.net.set_capacity(edge, std::max(cap, round.net.flow(edge)));
-        }
-        flow_value = round.net.max_flow_resume(round.source, round.sink);
-        ++warm_starts;
-        resume_bfs += round.net.kernel_stats().bfs_rounds;
-        resume_bfs_hist.record(round.net.kernel_stats().bfs_rounds);
-        obs::emit(trace, obs::EventKind::kCounter, "optimal_fast.warm_start",
-                  phase_index, rounds,
-                  static_cast<double>(round.net.kernel_stats().bfs_rounds));
-      }
-      result.stats.flow_bfs_rounds += round.net.kernel_stats().bfs_rounds;
-      result.stats.flow_augmenting_paths += round.net.kernel_stats().augmenting_paths;
-      obs::emit(trace, obs::EventKind::kFlowRound, "optimal_fast.round", phase_index,
-                rounds, flow_value / reserved_time);
-      if (flow_value >= reserved_time * (1.0 - epsilon)) break;
-
-      // Removal rule, epsilon-guarded.
-      std::size_t victim = kNone;
-      for (std::size_t e = 0; e < round.sink_edges.size() && victim == kNone; ++e) {
-        double cap = round.net.capacity(round.sink_edges[e]);
-        double gap = cap - round.net.flow(round.sink_edges[e]);
-        if (gap <= epsilon * (1.0 + cap)) continue;
-        std::size_t j = round.sink_edge_interval[e];
-        for (std::size_t pos = 0; pos < candidates.size(); ++pos) {
-          const std::size_t bpos = built_pos[pos];
-          for (std::size_t idx = 0; idx < round.job_edge_interval[bpos].size(); ++idx) {
-            if (round.job_edge_interval[bpos][idx] != j) continue;
-            FlowNetwork<double>::EdgeId edge = round.job_edges[bpos][idx];
-            if (round.net.flow(edge) < round.net.capacity(edge) * (1.0 - epsilon)) {
-              victim = pos;
-            }
-            break;
-          }
-          if (victim != kNone) break;
-        }
-      }
-      check_internal(victim != kNone, "optimal_schedule_fast: no removable job found");
-      ++result.stats.candidate_removals;
-      obs::emit(trace, obs::EventKind::kCandidateRemoved,
-                "optimal_fast.lemma4_removal", phase_index, candidates[victim]);
-      if (built) {
-        FlowNetwork<double>::EdgeId edge = round.source_edges[built_pos[victim]];
-        double carried = round.net.flow(edge);
-        if (carried > 0.0) {
-          retracted_units += retract_job_flow(round, built_pos[victim], carried);
-        }
-        // Seal the victim's source edge (any sub-epsilon leftover stays, inert).
-        round.net.set_capacity(edge, std::max(0.0, round.net.flow(edge)));
-        built_pos.erase(built_pos.begin() + static_cast<std::ptrdiff_t>(victim));
-      }
-      ActiveBitmap::mask_clear(candidate_mask, candidates[victim]);
-      candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(victim));
-    }
-
-    obs::emit(trace, obs::EventKind::kPhaseEnd, "optimal_fast.phase", phase_index,
-              rounds, speed);
-    rounds_per_phase.record(rounds);
-    result.phase_speeds.push_back(speed);
-
-    // Extract: per interval, wrap the chunks over the reserved machines.
-    for (std::size_t j = 0; j < interval_count; ++j) {
-      if (reserved[j] == 0) continue;
-      double length = intervals.length(j);
-      std::size_t machine = used[j];
-      double offset = 0.0;
-      for (std::size_t pos = 0; pos < candidates.size(); ++pos) {
-        const std::size_t bpos = built_pos[pos];
-        for (std::size_t idx = 0; idx < round.job_edge_interval[bpos].size(); ++idx) {
-          if (round.job_edge_interval[bpos][idx] != j) continue;
-          double duration = std::min(round.net.flow(round.job_edges[bpos][idx]), length);
-          while (duration > epsilon * length) {
-            double available = length - offset;
-            if (available <= 1e-12 * length) {
-              // Sub-rounding remainder of the machine window: move on before it
-              // collapses into a zero-length slice (ulp of the absolute time can
-              // exceed the remainder).
-              ++machine;
-              offset = 0.0;
-              continue;
-            }
-            double piece = std::min(duration, available);
-            double begin = intervals.start(j) + offset;
-            double finish = intervals.start(j) + std::min(offset + piece, length);
-            if (begin < finish) {
-              result.schedule.machines[machine].push_back(
-                  FastSlice{begin, finish, speed, candidates[pos]});
-            }
-            offset += piece;
-            duration -= piece;
-            if (offset >= length * (1.0 - 1e-12)) {
-              ++machine;
-              offset = 0.0;
-            }
-          }
-          break;
-        }
-      }
-      used[j] += reserved[j];
-    }
-
-    // Drop the scheduled jobs; the candidate mask holds exactly the phase's jobs.
-    std::vector<std::size_t> next;
-    next.reserve(remaining.size() - candidates.size());
-    for (std::size_t job : remaining) {
-      if (!ActiveBitmap::mask_test(candidate_mask, job)) next.push_back(job);
-    }
-    remaining = std::move(next);
-  }
-  result.stats.phases = result.phase_speeds.size();
-  result.stats.flow_computations = result.flow_computations;
-  result.stats.counters.set("flow.warm_starts", warm_starts);
-  result.stats.counters.set("flow.retracted_units", retracted_units);
-  result.stats.counters.set("flow.resume_bfs", resume_bfs);
-  const Arena::Stats& arena_stats = scratch->stats();
-  result.stats.counters.set("mem.arena_bytes", arena_stats.capacity_bytes);
-  result.stats.counters.set("mem.arena_reuses", arena_stats.reuses);
-  result.stats.counters.set("mem.fallback_allocs",
-                            arena_stats.fallback_allocs - arena_fallback_base);
-  obs::emit(trace, obs::EventKind::kCounter, "optimal_fast.arena",
-            arena_stats.capacity_bytes,
-            arena_stats.fallback_allocs - arena_fallback_base,
-            static_cast<double>(arena_stats.reuses));
-  if (!round_us.empty()) result.stats.histograms["optimal_fast.round_us"] = round_us;
-  if (!rounds_per_phase.empty()) {
-    result.stats.histograms["optimal_fast.rounds_per_phase"] = rounds_per_phase;
-  }
-  if (!resume_bfs_hist.empty()) {
-    result.stats.histograms["optimal_fast.resume_bfs"] = resume_bfs_hist;
-  }
-  obs::emit(trace, obs::EventKind::kSolveEnd, "optimal_fast.solve",
-            result.phase_speeds.size(), result.flow_computations);
-  result.stats.wall_seconds = timer.elapsed_seconds();
-  return result;
 }
 
 }  // namespace mpss

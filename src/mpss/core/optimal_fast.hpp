@@ -7,7 +7,8 @@
 // doubles with relative-epsilon acceptance tests. It trades certainty for speed
 // (order-of-magnitude; see bench_offline and experiment E13) and is validated
 // against the exact engine in tests -- energies agree to ~1e-9 relative on every
-// sampled instance.
+// sampled instance. Both engines run one phase/round loop (core/optimal.cpp),
+// templated on the number type; only the numeric policy differs.
 //
 // The fast path returns its own lightweight schedule type: re-encoding binary
 // doubles as exact rationals would launder approximation into "exact" data.
@@ -56,10 +57,16 @@ struct FastOptimalResult {
                                                 const FastSchedule& schedule,
                                                 double tolerance = 1e-7);
 
+/// Exclusive upper bound of the fast path's epsilon: valid tolerances lie in
+/// (0, kFastEpsilonLimit). The engine rejects anything else with
+/// std::invalid_argument, and SolveOptions::validate() with kInvalidOptions.
+inline constexpr double kFastEpsilonLimit = 0.1;
+
 /// Knobs for the fast path (the subset of OptimalOptions that applies here).
 struct FastOptimalOptions {
-  /// Relative tolerance of the flow-saturation tests (looser values risk
-  /// misclassifying phases on near-degenerate instances -- experiment E13).
+  /// Relative tolerance of the flow-saturation tests, in (0, kFastEpsilonLimit)
+  /// (looser values risk misclassifying phases on near-degenerate instances --
+  /// experiment E13).
   double epsilon = 1e-9;
   /// Warm-started phase rounds (the default): build the flow network once per
   /// phase, then per removal round retract the victim's flow, rescale source

@@ -1,48 +1,15 @@
 #include "mpss/ext/bounded_speed.hpp"
 
-#include "mpss/core/intervals.hpp"
-#include "mpss/flow/dinic.hpp"
 #include "mpss/util/error.hpp"
 
 namespace mpss {
 
 bool feasible_with_cap(const Instance& instance, const Q& cap) {
   check_arg(cap.sign() > 0, "feasible_with_cap: cap must be positive");
-  IntervalDecomposition intervals(instance.jobs());
-  const std::size_t interval_count = intervals.count();
-
-  Q total_time_demand;  // sum of w_k / cap
-  FlowNetwork<Q> net;
-  std::size_t source = net.add_node();
-  std::vector<std::size_t> job_node;
-  std::vector<std::size_t> job_index;
-  for (std::size_t k = 0; k < instance.size(); ++k) {
-    if (instance.job(k).work.sign() > 0) {
-      job_node.push_back(net.add_node());
-      job_index.push_back(k);
-    }
-  }
-  if (job_index.empty()) return true;
-  std::vector<std::size_t> interval_node(interval_count);
-  for (std::size_t j = 0; j < interval_count; ++j) interval_node[j] = net.add_node();
-  std::size_t sink = net.add_node();
-
-  for (std::size_t pos = 0; pos < job_index.size(); ++pos) {
-    const Job& job = instance.job(job_index[pos]);
-    Q demand = job.work / cap;  // processing time needed at full cap speed
-    total_time_demand += demand;
-    net.add_edge(source, job_node[pos], demand);
-    for (std::size_t j = 0; j < interval_count; ++j) {
-      if (intervals.active(job, j)) {
-        net.add_edge(job_node[pos], interval_node[j], intervals.length(j));
-      }
-    }
-  }
-  Q machines(static_cast<std::int64_t>(instance.machines()));
-  for (std::size_t j = 0; j < interval_count; ++j) {
-    net.add_edge(interval_node[j], sink, intervals.length(j) * machines);
-  }
-  return net.max_flow(source, sink) == total_time_demand;
+  // The offline engine's network at uniform speed `cap`. Its min(n_j, m) sink
+  // capacities bind no tighter than m: the n_j job edges into v_j carry at most
+  // |I_j| each.
+  return detail::fits_at_speed(instance, cap);
 }
 
 Q minimal_peak_speed(const Instance& instance) {

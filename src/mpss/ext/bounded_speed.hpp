@@ -5,9 +5,9 @@
 //
 // Three primitives:
 //   * feasible_with_cap  -- can the instance be finished at all if no processor
-//     may exceed `cap`? Decided exactly by one max-flow on the Section-2 network
-//     shape (job -> interval edges bounded by |I_j|, interval -> sink by
-//     m * |I_j|, source -> job by w_k / cap).
+//     may exceed `cap`? Decided exactly by one max-flow on the offline engine's
+//     own network G(J, m, cap) (job -> interval edges bounded by |I_j|,
+//     interval -> sink by min(n_j, m) * |I_j|, source -> job by w_k / cap).
 //   * minimal_peak_speed -- the smallest cap that keeps the instance feasible.
 //     This equals the first phase speed s_1 of the optimal schedule (the densest
 //     set's forced average speed); the test suite verifies that identity against
