@@ -232,9 +232,7 @@ std::optional<ErrorCode> error_code_from_name(std::string_view name) {
 json::Value solve_options_to_json_value(const SolveOptions& options) {
   json::Value out;
   out.set("engine", engine_name(options.engine));
-  out.set("exact_incremental", options.exact.incremental);
   out.set("fast_epsilon", options.fast_epsilon);
-  out.set("fast_incremental", options.fast_incremental);
   out.set("avr_peeling", options.avr.enable_peeling);
   out.set("lp_grid", options.lp_grid);
   out.set("lp_max_speed_hint", options.lp_max_speed_hint);
@@ -251,14 +249,8 @@ SolveOptions solve_options_from_json_value(const json::Value& value) {
     }
     options.engine = *parsed;
   }
-  if (const json::Value* v = value.find("exact_incremental")) {
-    options.exact.incremental = v->as_bool();
-  }
   if (const json::Value* v = value.find("fast_epsilon")) {
     options.fast_epsilon = v->as_double();
-  }
-  if (const json::Value* v = value.find("fast_incremental")) {
-    options.fast_incremental = v->as_bool();
   }
   if (const json::Value* v = value.find("avr_peeling")) {
     options.avr.enable_peeling = v->as_bool();

@@ -107,7 +107,9 @@ struct Request {
 
 /// The wire-expressible subset of SolveOptions (engine + every serializable
 /// result-shaping knob; the pointer knobs -- power, trace, cancel -- do not
-/// travel). Members absent from the JSON keep their defaults.
+/// travel, nor do the warm-start switches, which never change an exact result).
+/// Members absent from the JSON keep their defaults; unknown keys (including
+/// the retired exact_incremental / fast_incremental) are ignored.
 [[nodiscard]] json::Value solve_options_to_json_value(const SolveOptions& options);
 [[nodiscard]] SolveOptions solve_options_from_json_value(const json::Value& value);
 

@@ -29,7 +29,6 @@ std::optional<std::uint64_t> solve_fingerprint(const Instance& instance,
   state = fnv_mix(state, options.exact.ablation_seed);
   state = fnv_mix(state, static_cast<std::uint64_t>(options.exact.incremental));
   state = fnv_mix(state, options.fast_epsilon);
-  state = fnv_mix(state, static_cast<std::uint64_t>(options.fast_incremental));
   state = fnv_mix(state, static_cast<std::uint64_t>(options.avr.enable_peeling));
   state = fnv_mix(state, static_cast<std::uint64_t>(options.lp_grid));
   state = fnv_mix(state, options.lp_max_speed_hint);

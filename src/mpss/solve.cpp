@@ -56,7 +56,6 @@ SolveResult run_engine(const Instance& instance, const SolveOptions& options) {
     case Engine::kFast: {
       FastOptimalOptions fast;
       fast.epsilon = options.fast_epsilon;
-      fast.incremental = options.fast_incremental;
       fast.cancel = options.cancel;
       FastOptimalResult r = optimal_schedule_fast(instance, fast, sink);
       result.energy = r.schedule.energy(p);
@@ -152,8 +151,9 @@ std::optional<std::string> SolveOptions::validate() const {
     return "SolveOptions: lp_grid must be >= 2 (got " + std::to_string(lp_grid) +
            ")";
   }
-  if (!(fast_epsilon > 0.0)) {
-    return "SolveOptions: fast_epsilon must be positive (got " +
+  if (!(fast_epsilon > 0.0 && fast_epsilon < kFastEpsilonLimit)) {
+    return "SolveOptions: fast_epsilon must lie in (0, " +
+           std::to_string(kFastEpsilonLimit) + ") (got " +
            std::to_string(fast_epsilon) + ")";
   }
   if (lp_max_speed_hint < 0.0) {

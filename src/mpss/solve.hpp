@@ -83,11 +83,11 @@ struct SolveOptions {
   /// Exact engine (also the planner inside OA).
   OptimalOptions exact;
 
-  /// Fast engine: relative tolerance of the flow-saturation tests.
+  /// Fast engine: relative tolerance of the flow-saturation tests, in
+  /// (0, kFastEpsilonLimit). The fast engine always warm-starts its rounds;
+  /// the rebuild-every-round reference path is reachable only through
+  /// FastOptimalOptions::incremental.
   double fast_epsilon = 1e-9;
-  /// Fast engine: warm-started incremental phase rounds (the exact engine's
-  /// knob lives on `exact.incremental`).
-  bool fast_incremental = true;
 
   /// AVR engine.
   AvrOptions avr;
@@ -114,7 +114,7 @@ struct SolveOptions {
   const CancelToken* cancel = nullptr;
 
   /// Checks the knobs that have constrained domains (`lp_grid >= 2`,
-  /// `fast_epsilon > 0`, `lp_max_speed_hint >= 0`). Returns the first
+  /// `0 < fast_epsilon < kFastEpsilonLimit`, `lp_max_speed_hint >= 0`). Returns the first
   /// violation's message, or nullopt when the options are usable. solve()
   /// calls this up front and reports failures as kInvalidOptions.
   [[nodiscard]] std::optional<std::string> validate() const;

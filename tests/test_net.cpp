@@ -181,6 +181,19 @@ TEST(Protocol, RequestRoundTrips) {
   EXPECT_EQ(decoded.deadline_ms, 250);
 }
 
+TEST(Protocol, RetiredWarmStartKeysAreIgnored) {
+  // Older clients sent exact_incremental / fast_incremental; warm starts no
+  // longer travel (they never changed an exact result), and decoding ignores
+  // the keys instead of rejecting the request.
+  SolveOptions decoded = solve_options_from_json_value(json::parse(
+      R"({"engine":"fast","exact_incremental":false,"fast_incremental":false})"));
+  EXPECT_EQ(decoded.engine, Engine::kFast);
+  EXPECT_TRUE(decoded.exact.incremental);
+  json::Value encoded = solve_options_to_json_value(decoded);
+  EXPECT_EQ(encoded.find("exact_incremental"), nullptr);
+  EXPECT_EQ(encoded.find("fast_incremental"), nullptr);
+}
+
 TEST(Protocol, ResultRoundTripsBitIdentically) {
   SolveResult original = solve(fractional_instance());
   ASSERT_TRUE(original.ok());

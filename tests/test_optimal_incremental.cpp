@@ -223,13 +223,18 @@ TEST(OptimalIncremental, SolveFacadePublishesFlowCountersToRegistry) {
   auto after = obs::Registry::global().snapshot().value("flow.warm_starts");
   EXPECT_GT(after, before);
 
-  // The facade's fast_incremental knob reaches the fast engine.
-  SolveOptions fast_off;
-  fast_off.engine = Engine::kFast;
-  fast_off.fast_incremental = false;
-  auto fast_result = solve(instance, fast_off);
+  // The facade's fast engine always warm-starts; the rebuild reference path
+  // is reachable only through the engine's own FastOptimalOptions.
+  SolveOptions fast;
+  fast.engine = Engine::kFast;
+  auto fast_result = solve(instance, fast);
   ASSERT_TRUE(fast_result.ok());
-  EXPECT_EQ(fast_result.stats.counters.value("flow.warm_starts"), 0u);
+  EXPECT_GT(fast_result.stats.counters.value("flow.warm_starts"), 0u);
+  FastOptimalOptions fast_off;
+  fast_off.incremental = false;
+  EXPECT_EQ(optimal_schedule_fast(instance, fast_off).stats.counters.value(
+                "flow.warm_starts"),
+            0u);
 }
 
 TEST(OptimalIncremental, ArenaCountersSurfaceThroughStats) {

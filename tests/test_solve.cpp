@@ -268,6 +268,15 @@ TEST(Solve, InvalidKnobsBecomeStatusesNotThrows) {
     options.fast_epsilon = -1e-9;
     EXPECT_EQ(solve(instance, options).status, SolveStatus::kInvalidOptions);
   }
+  // At or above kFastEpsilonLimit the fast engine itself would reject the
+  // tolerance; validate() must catch it first, as an options problem.
+  for (double epsilon : {0.1, 1e308}) {
+    SolveOptions options;
+    options.engine = Engine::kFast;
+    options.fast_epsilon = epsilon;
+    ASSERT_TRUE(options.validate().has_value()) << epsilon;
+    EXPECT_EQ(solve(instance, options).status, SolveStatus::kInvalidOptions) << epsilon;
+  }
   {
     SolveOptions options;
     options.lp_max_speed_hint = -1.0;
