@@ -1,4 +1,4 @@
-#include "mpss/net/fault_proxy.hpp"
+#include "support/fault_proxy.hpp"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>

@@ -21,13 +21,13 @@
 
 #include "mpss/net/client.hpp"
 #include "mpss/net/deadline.hpp"
-#include "mpss/net/fault_proxy.hpp"
 #include "mpss/net/framing.hpp"
 #include "mpss/net/metrics_http.hpp"
 #include "mpss/net/protocol.hpp"
 #include "mpss/net/server.hpp"
 #include "mpss/obs/registry.hpp"
 #include "mpss/solve.hpp"
+#include "support/fault_proxy.hpp"
 
 namespace mpss::net {
 namespace {
