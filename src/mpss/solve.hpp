@@ -114,9 +114,10 @@ struct SolveOptions {
   const CancelToken* cancel = nullptr;
 
   /// Checks the knobs that have constrained domains (`lp_grid >= 2`,
-  /// `0 < fast_epsilon < kFastEpsilonLimit`, `lp_max_speed_hint >= 0`). Returns the first
-  /// violation's message, or nullopt when the options are usable. solve()
-  /// calls this up front and reports failures as kInvalidOptions.
+  /// `0 < fast_epsilon < kFastEpsilonLimit`, `lp_max_speed_hint >= 0`).
+  /// Returns the first violation's message, or nullopt when the options are
+  /// usable. solve() calls this up front and reports failures as
+  /// kInvalidOptions.
   [[nodiscard]] std::optional<std::string> validate() const;
 };
 

@@ -8,9 +8,9 @@
 // or a Dinic pass shows up as a diff.
 //
 // The fast rows assume IEEE double arithmetic without fused multiply-add
-// contraction (the x86-64 default). Regenerate after an intentional change with
-//   build/tests/test_offline_golden --gtest_also_run_disabled_tests \
-//     --gtest_filter='*RegenerateGoldenFile'
+// contraction (the x86-64 default). Regenerate after an intentional change by
+// running build/tests/test_offline_golden with the flags
+//   --gtest_also_run_disabled_tests --gtest_filter='*RegenerateGoldenFile'
 // and review the diff of data/golden/offline_engines.csv.
 
 #include <cstdio>
