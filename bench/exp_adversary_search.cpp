@@ -53,15 +53,13 @@ int main(int argc, char** argv) {
   BatchSolver service(BatchSolverOptions{
       .threads = 0, .queue_capacity = 256, .cache_capacity = 4096});
   auto service_ratio = [&service](OnlineAlgorithmKind kind,
-                                  const Instance& instance, double alpha) {
-    AlphaPower p(alpha);
+                                  const Instance& candidate, double alpha) {
+    const Instance instance = candidate.with_power(PowerSpec::alpha(alpha));
     SolveOptions online;
     online.engine =
         kind == OnlineAlgorithmKind::kOa ? Engine::kOa : Engine::kAvr;
-    online.power = &p;
     SolveOptions exact;
     exact.engine = Engine::kExact;
-    exact.power = &p;
     Submission online_run = service.submit({instance, online});
     Submission opt_run = service.submit({instance, exact});
     double alg = online_run.future.get().energy;

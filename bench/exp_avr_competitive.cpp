@@ -45,10 +45,6 @@ int main(int argc, char** argv) {
   // optimum are service requests; the decomposition inequalities are then
   // checked on the gathered energies (the YDS single-machine reference of
   // inequality (10) is not a facade engine and runs inline).
-  std::vector<AlphaPower> powers;  // stable addresses for SolveOptions::power
-  powers.reserve(cells.size());
-  for (const Cell& cell : cells) powers.emplace_back(cell.alpha);
-
   BatchSolver service;
   struct PendingCell {
     std::size_t cell;
@@ -61,15 +57,16 @@ int main(int argc, char** argv) {
   for (std::size_t index = 0; index < cells.size(); ++index) {
     const Cell& cell = cells[index];
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-      Instance instance = generate_uniform(
-          {.jobs = 12, .machines = cell.machines, .horizon = 20,
-           .max_window = 9, .max_work = 7}, seed);
+      // The cell's alpha travels on the instance: solve() measures energy
+      // under the instance's PowerSpec.
+      Instance instance =
+          generate_uniform({.jobs = 12, .machines = cell.machines, .horizon = 20,
+                            .max_window = 9, .max_work = 7}, seed)
+              .with_power(PowerSpec::alpha(cell.alpha));
       SolveOptions avr_options;
       avr_options.engine = Engine::kAvr;
-      avr_options.power = &powers[index];
       SolveOptions opt_options;
       opt_options.engine = Engine::kExact;
-      opt_options.power = &powers[index];
       Submission avr_run = service.submit({instance, avr_options});
       Submission opt_run = service.submit({instance, opt_options});
       pending.push_back({index, std::move(instance), std::move(avr_run),

@@ -43,12 +43,6 @@ int main(int argc, char** argv) {
     for (std::size_t m : machine_counts) cells.push_back({alpha, m, {}, true});
   }
 
-  // Per-cell AlphaPower objects with stable addresses: SolveOptions::power is
-  // not owned and must outlive every request that references it.
-  std::vector<AlphaPower> powers;
-  powers.reserve(cells.size());
-  for (const Cell& cell : cells) powers.emplace_back(cell.alpha);
-
   BatchSolver service;
   struct PendingRatio {
     std::size_t cell;
@@ -60,15 +54,16 @@ int main(int argc, char** argv) {
   for (std::size_t index = 0; index < cells.size(); ++index) {
     const Cell& cell = cells[index];
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-      Instance instance = generate_surprise(
-          {.jobs = 12, .machines = cell.machines, .horizon = 24, .max_work = 6,
-           .urgent_window = 3}, seed);
+      // The cell's alpha travels on the instance: solve() measures energy
+      // under the instance's PowerSpec.
+      Instance instance =
+          generate_surprise({.jobs = 12, .machines = cell.machines, .horizon = 24,
+                             .max_work = 6, .urgent_window = 3}, seed)
+              .with_power(PowerSpec::alpha(cell.alpha));
       SolveOptions online;
       online.engine = Engine::kOa;
-      online.power = &powers[index];
       SolveOptions opt;
       opt.engine = Engine::kExact;
-      opt.power = &powers[index];
       Submission online_run = service.submit({instance, online});
       Submission opt_run = service.submit({std::move(instance), opt});
       pending.push_back({index, std::move(online_run), std::move(opt_run)});

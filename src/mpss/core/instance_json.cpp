@@ -1,6 +1,5 @@
 #include "mpss/core/instance_json.hpp"
 
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -97,13 +96,8 @@ Instance instance_from_json_value(const json::Value& value) {
   check_arg(version == static_cast<double>(kInstanceJsonVersion),
             "instance_from_json: unsupported mpss_instance version");
   double machines_raw = value.at("machines").as_double();
-  // Bound BEFORE casting: double -> size_t on a value past the integer range
-  // (an attacker's "machines": 1e300, or inf) is undefined behavior, so the
-  // old `raw == cast(raw)` round-trip check was itself the bug. 2^53 is where
-  // doubles stop holding integers exactly; no instance is near that.
-  constexpr double kMaxMachines = 9007199254740992.0;  // 2^53
-  check_arg(machines_raw >= 1.0 && machines_raw <= kMaxMachines &&
-                machines_raw == std::floor(machines_raw),
+  // 2^53 is where doubles stop holding integers exactly; no instance is near it.
+  check_arg(json::is_integer_in(machines_raw, 1.0, json::kMaxExactInteger),
             "instance_from_json: machines must be a positive integer");
   auto machines = static_cast<std::size_t>(machines_raw);
 

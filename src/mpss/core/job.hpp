@@ -67,8 +67,8 @@ class Instance {
   /// Returns a copy with a different machine count (same jobs, same power).
   [[nodiscard]] Instance with_machines(std::size_t machines) const;
 
-  /// The power spec energy is measured under. solve() instantiates it unless
-  /// the caller overrides with an explicit SolveOptions::power.
+  /// The power spec energy is measured under; solve() reports every engine's
+  /// energy under it.
   [[nodiscard]] const PowerSpec& power() const { return power_; }
 
   /// Returns a copy with a different power spec (same jobs, same machines).

@@ -11,6 +11,26 @@
 #include "mpss/util/fnv.hpp"
 
 namespace mpss {
+namespace {
+
+// Names shared by each PowerFunction and the PowerSpec describing it.
+std::string alpha_name(double alpha) {
+  std::ostringstream os;
+  os << "s^" << alpha;
+  return os.str();
+}
+
+std::string piecewise_name(std::size_t points) {
+  return "piecewise[" + std::to_string(points) + "]";
+}
+
+std::string cubic_leakage_name(double cubic, double linear, double constant) {
+  std::ostringstream os;
+  os << cubic << "*s^3+" << linear << "*s+" << constant;
+  return os.str();
+}
+
+}  // namespace
 
 AlphaPower::AlphaPower(double alpha) : alpha_(alpha) {
   check_arg(alpha > 1.0, "AlphaPower: alpha must be > 1");
@@ -18,15 +38,7 @@ AlphaPower::AlphaPower(double alpha) : alpha_(alpha) {
 
 double AlphaPower::power(double speed) const { return std::pow(speed, alpha_); }
 
-std::string AlphaPower::name() const {
-  std::ostringstream os;
-  os << "s^" << alpha_;
-  return os.str();
-}
-
-std::uint64_t AlphaPower::fingerprint() const {
-  return fnv_mix(fnv_mix(kFnvOffset, std::uint64_t{1}), alpha_);
-}
+std::string AlphaPower::name() const { return alpha_name(alpha_); }
 
 PiecewiseLinearPower::PiecewiseLinearPower(std::vector<Point> points)
     : points_(std::move(points)) {
@@ -56,19 +68,7 @@ double PiecewiseLinearPower::power(double speed) const {
 }
 
 std::string PiecewiseLinearPower::name() const {
-  std::ostringstream os;
-  os << "piecewise[" << points_.size() << "]";
-  return os.str();
-}
-
-std::uint64_t PiecewiseLinearPower::fingerprint() const {
-  std::uint64_t state = fnv_mix(kFnvOffset, std::uint64_t{2});
-  state = fnv_mix(state, static_cast<std::uint64_t>(points_.size()));
-  for (const Point& point : points_) {
-    state = fnv_mix(state, point.speed);
-    state = fnv_mix(state, point.power);
-  }
-  return state;
+  return piecewise_name(points_.size());
 }
 
 CubicPlusLeakagePower::CubicPlusLeakagePower(double cubic, double linear, double constant)
@@ -82,16 +82,7 @@ double CubicPlusLeakagePower::power(double speed) const {
 }
 
 std::string CubicPlusLeakagePower::name() const {
-  std::ostringstream os;
-  os << cubic_ << "*s^3+" << linear_ << "*s+" << constant_;
-  return os.str();
-}
-
-std::uint64_t CubicPlusLeakagePower::fingerprint() const {
-  std::uint64_t state = fnv_mix(kFnvOffset, std::uint64_t{3});
-  state = fnv_mix(state, cubic_);
-  state = fnv_mix(state, linear_);
-  return fnv_mix(state, constant_);
+  return cubic_leakage_name(cubic_, linear_, constant_);
 }
 
 PowerSpec PowerSpec::alpha(double alpha) {
@@ -132,12 +123,41 @@ std::unique_ptr<PowerFunction> PowerSpec::instantiate() const {
   throw std::invalid_argument("PowerSpec: unknown kind");
 }
 
-std::string PowerSpec::name() const { return instantiate()->name(); }
+std::string PowerSpec::name() const {
+  switch (kind_) {
+    case Kind::kDefault: return alpha_name(3.0);
+    case Kind::kAlpha: return alpha_name(params_[0]);
+    case Kind::kPiecewise: return piecewise_name(points_.size());
+    case Kind::kCubicLeakage:
+      return cubic_leakage_name(params_[0], params_[1], params_[2]);
+  }
+  throw std::invalid_argument("PowerSpec: unknown kind");
+}
 
 std::uint64_t PowerSpec::fingerprint() const {
-  // kDefault delegates to AlphaPower(3)'s fingerprint: equal functions, equal
-  // identity, regardless of how the spec was spelled.
-  return instantiate()->fingerprint();
+  // Each family hashes a distinct tag, then its defining parameters. kDefault
+  // hashes as alpha(3): equal functions, equal identity, however spelled.
+  switch (kind_) {
+    case Kind::kDefault:
+    case Kind::kAlpha:
+      return fnv_mix(fnv_mix(kFnvOffset, std::uint64_t{1}),
+                     kind_ == Kind::kDefault ? 3.0 : params_[0]);
+    case Kind::kPiecewise: {
+      std::uint64_t state = fnv_mix(kFnvOffset, std::uint64_t{2});
+      state = fnv_mix(state, static_cast<std::uint64_t>(points_.size()));
+      for (const PiecewiseLinearPower::Point& point : points_) {
+        state = fnv_mix(state, point.speed);
+        state = fnv_mix(state, point.power);
+      }
+      return state;
+    }
+    case Kind::kCubicLeakage: {
+      std::uint64_t state = fnv_mix(kFnvOffset, std::uint64_t{3});
+      for (double param : params_) state = fnv_mix(state, param);
+      return state;
+    }
+  }
+  throw std::invalid_argument("PowerSpec: unknown kind");
 }
 
 const char* PowerSpec::kind_name(Kind kind) {

@@ -25,13 +25,6 @@ class PowerFunction {
 
   /// Descriptive name for tables ("s^3", "piecewise[4]").
   [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Stable value-identity fingerprint for result caching (BatchSolver keys
-  /// solve results on it). Two instances with equal fingerprints must define
-  /// the same function. The default 0 means "no stable identity" -- the cache
-  /// skips such power functions rather than risk a false hit. The built-in
-  /// implementations hash their defining parameters.
-  [[nodiscard]] virtual std::uint64_t fingerprint() const { return 0; }
 };
 
 /// P(s) = s^alpha, alpha > 1: the family used throughout Section 3 of the paper
@@ -44,7 +37,6 @@ class AlphaPower final : public PowerFunction {
   [[nodiscard]] double alpha() const { return alpha_; }
   [[nodiscard]] double power(double speed) const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::uint64_t fingerprint() const override;
 
  private:
   double alpha_;
@@ -69,7 +61,6 @@ class PiecewiseLinearPower final : public PowerFunction {
 
   [[nodiscard]] double power(double speed) const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::uint64_t fingerprint() const override;
 
  private:
   std::vector<Point> points_;
@@ -84,7 +75,6 @@ class CubicPlusLeakagePower final : public PowerFunction {
 
   [[nodiscard]] double power(double speed) const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::uint64_t fingerprint() const override;
 
  private:
   double cubic_, linear_, constant_;
@@ -95,8 +85,9 @@ class CubicPlusLeakagePower final : public PowerFunction {
 /// callable with identity by pointer; a PowerSpec is plain data with identity
 /// by value, so it can live inside an Instance, travel over the wire protocol,
 /// and key the result cache. Every spec instantiates to one of the built-in
-/// PowerFunction implementations; arbitrary user callables stay possible
-/// through SolveOptions::power, which overrides the instance's spec.
+/// PowerFunction implementations; it is the only power a solve() measures
+/// with. Callers with an arbitrary callable measure a returned schedule
+/// themselves (Schedule::energy takes any PowerFunction).
 class PowerSpec {
  public:
   enum class Kind {
@@ -133,12 +124,13 @@ class PowerSpec {
   /// Builds the described PowerFunction (kDefault -> AlphaPower(3)).
   [[nodiscard]] std::unique_ptr<PowerFunction> instantiate() const;
 
-  /// Same naming as the instantiated function ("s^3", "piecewise[4]").
+  /// Same naming as the instantiated function ("s^3", "piecewise[4]"),
+  /// computed from the spec's fields without instantiating it.
   [[nodiscard]] std::string name() const;
 
-  /// Stable value-identity fingerprint; never 0 (a spec always has a stable
-  /// identity -- that is its reason to exist). kDefault and alpha(3) fingerprint
-  /// identically: they describe the same function.
+  /// Stable value-identity fingerprint of the spec's fields; never 0.
+  /// kDefault and alpha(3) fingerprint identically: they describe the same
+  /// function. Allocation-free -- the result cache calls it on every lookup.
   [[nodiscard]] std::uint64_t fingerprint() const;
 
   /// Stable kind name ("default", "alpha", "piecewise", "cubic_leakage") and

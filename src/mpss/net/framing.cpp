@@ -55,10 +55,7 @@ void wait_readable(int fd, const Clock::time_point* deadline,
     pollfd poll_fd{fd, POLLIN, 0};
     int ready = ::poll(&poll_fd, 1, timeout_ms);
     if (ready > 0) return;  // readable (or errored -- recv reports which)
-    if (ready == 0) {
-      if (deadline == nullptr) continue;  // spurious zero without a deadline
-      continue;  // re-check the absolute deadline at the top of the loop
-    }
+    if (ready == 0) continue;  // re-check the absolute deadline at the top
     if (errno == EINTR) continue;
     throw FrameError(std::string("read_frame: poll failed: ") +
                          std::strerror(errno),

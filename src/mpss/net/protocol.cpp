@@ -1,7 +1,6 @@
 #include "mpss/net/protocol.hpp"
 
 #include <charconv>
-#include <cmath>
 #include <utility>
 
 namespace mpss::net {
@@ -20,19 +19,17 @@ auto bad_request_scope(Fn&& fn) -> decltype(fn()) {
   }
 }
 
-/// The largest double that is still an exact integer (2^53). Every checked
-/// double -> integer conversion below bounds by it BEFORE casting: a cast
-/// from a double past the target's range (a hostile "id": 1e300, inf) is
-/// undefined behavior, and NaN slips through naive `raw < 0` guards because
-/// every comparison against NaN is false. All checks are therefore written in
-/// the accepting direction (`raw >= lo && raw <= hi`), which NaN fails.
-constexpr double kMaxExactDouble = 9007199254740992.0;
+// Every double -> integer conversion below goes through json::is_integer_in
+// first: it rejects NaN, infinities, fractions and out-of-range values before
+// the cast, whose behavior past the target's range is undefined.
+using json::is_integer_in;
+using json::kMaxExactInteger;
 
 /// Checked double -> non-negative integer: rejects NaN, infinities,
 /// negatives, fractions, and anything past 2^53. Throws invalid_argument
 /// (bad_request_scope recodes it) naming `what`.
 std::uint64_t checked_u64(double raw, const char* what) {
-  if (!(raw >= 0.0 && raw <= kMaxExactDouble && raw == std::floor(raw))) {
+  if (!is_integer_in(raw, 0.0, kMaxExactInteger)) {
     throw std::invalid_argument(std::string("protocol: ") + what +
                                 " must be a non-negative integer (<= 2^53)");
   }
@@ -42,7 +39,7 @@ std::uint64_t checked_u64(double raw, const char* what) {
 std::uint64_t id_from(const json::Value& document) {
   if (const json::Value* id = document.find("id")) {
     double raw = id->as_double();
-    if (!(raw >= 0.0 && raw <= kMaxExactDouble && raw == std::floor(raw))) {
+    if (!is_integer_in(raw, 0.0, kMaxExactInteger)) {
       throw ProtocolError(ErrorCode::kBadRequest,
                           "protocol: id must be a non-negative integer");
     }
@@ -97,7 +94,7 @@ json::Value schedule_to_json(const SolveResult& result) {
 
 std::size_t slice_machine(const json::Array& fields, std::size_t machines) {
   double raw = fields[0].as_double();
-  if (raw < 0 || raw >= static_cast<double>(machines) || raw != std::floor(raw)) {
+  if (!is_integer_in(raw, 0.0, static_cast<double>(machines - 1))) {
     throw std::invalid_argument("protocol: slice machine index out of range");
   }
   return static_cast<std::size_t>(raw);
@@ -112,8 +109,7 @@ void schedule_from_json(const json::Value& value, SolveResult& result) {
   const std::string& type = value.at("type").as_string();
   if (type == "none") return;
   double machines_raw = value.at("machines").as_double();
-  if (!(machines_raw >= 1.0 && machines_raw <= kMaxExactDouble &&
-        machines_raw == std::floor(machines_raw))) {
+  if (!is_integer_in(machines_raw, 1.0, kMaxExactInteger)) {
     throw std::invalid_argument("protocol: schedule machines must be >= 1");
   }
   auto machines = static_cast<std::size_t>(machines_raw);
@@ -344,8 +340,7 @@ Request decode_request(std::string_view payload) {
     }
     if (const json::Value* priority = document.find("priority")) {
       double raw = priority->as_double();
-      if (!(raw >= -2147483648.0 && raw <= 2147483647.0 &&
-            raw == std::floor(raw))) {
+      if (!is_integer_in(raw, -2147483648.0, 2147483647.0)) {
         throw ProtocolError(ErrorCode::kBadRequest,
                             "protocol: priority must be an integer in int range");
       }
@@ -353,9 +348,7 @@ Request decode_request(std::string_view payload) {
     }
     if (const json::Value* deadline = document.find("deadline_ms")) {
       double raw = deadline->as_double();
-      // Accepting-direction check: NaN fails every comparison, so `raw < 0`
-      // alone would wave NaN through to an undefined cast.
-      if (!(raw >= 0.0 && raw <= kMaxExactDouble && raw == std::floor(raw))) {
+      if (!is_integer_in(raw, 0.0, kMaxExactInteger)) {
         throw ProtocolError(ErrorCode::kBadRequest,
                             "protocol: deadline_ms must be >= 0");
       }

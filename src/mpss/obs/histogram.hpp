@@ -7,7 +7,7 @@
 //     fold it into SolveStats::histograms once per solve, mirroring how
 //     Counters are handled. Not thread-safe; single-owner by design.
 //   * Histogram -- the lock-free atomic counterpart living in obs::Registry.
-//     Concurrent paths (ThreadPool workers, the executor) record() into it
+//     Concurrent paths (BatchSolver workers, the executor) record() into it
 //     without any lock; record() is a relaxed fetch_add per bucket plus CAS
 //     loops for min/max.
 //

@@ -3,7 +3,7 @@
 // (S40/S43, see DESIGN.md).
 //
 // Three jobs:
-//   * a global named-counter store that concurrent paths (ThreadPool workers,
+//   * a global named-counter store that concurrent paths (BatchSolver workers,
 //     the schedule executor, parallel experiment sweeps) bump or merge into
 //     without any plumbing through their call sites;
 //   * a global named-histogram store (lock-free obs::Histogram per name) for

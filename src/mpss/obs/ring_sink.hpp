@@ -3,7 +3,7 @@
 //
 // MemorySink and JsonlSink serialize every record() on one mutex, which is
 // fine for single-threaded engine runs but puts a global lock on the hot emit
-// path when the executor or a ThreadPool sweep traces concurrently. RingSink
+// path when the executor or a parallel_for sweep traces concurrently. RingSink
 // removes it: each recording thread owns a fixed-capacity single-producer /
 // single-consumer ring, record() is two atomic loads, a slot write and one
 // release store -- no lock, no syscall, wait-free for the producer. A full

@@ -59,10 +59,10 @@ struct TraceContext {
 /// A context carrying a parent (local or remote) RE-ROOTS the scope: the
 /// thread's open-span stack is stashed and cleared, so the next span opened
 /// inside the scope is a root that adopts the context's parent -- not a child
-/// of whatever wrapper span the surrounding thread had open (a BatchSolver
-/// worker runs inside the thread pool's long-lived "pool.task" span, which
-/// must not capture request-scoped work that logically belongs to the
-/// submitter's net.request span). A parentless context leaves the stack alone.
+/// of whatever wrapper span the surrounding thread had open (a long-lived
+/// worker-loop span must not capture request-scoped work that logically
+/// belongs to the submitter's net.request span). A parentless context leaves
+/// the stack alone.
 class TraceContextScope {
  public:
   explicit TraceContextScope(TraceContext context);

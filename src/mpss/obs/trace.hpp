@@ -6,8 +6,8 @@
 // pivot, candidate removal, arrival, ...) through obs::emit(). Emission is
 // runtime-gated: with no sink attached the cost is one pointer test, so the
 // default solver paths stay effectively free of instrumentation overhead.
-// Sinks must be thread-safe -- the executor and thread-pool paths record
-// concurrently.
+// Sinks must be thread-safe -- the executor, parallel_for and BatchSolver
+// paths record concurrently.
 //
 // Builds configured with -DMPSS_TRACING=ON additionally stamp every event with
 // a steady-clock timestamp (`t_seconds`). The default build skips the clock

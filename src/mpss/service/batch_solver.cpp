@@ -7,6 +7,7 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -43,9 +44,15 @@ struct BatchSolver::Pending {
 
 class BatchSolver::Impl {
  public:
-  explicit Impl(const BatchSolverOptions& options) : options_(options) {}
+  explicit Impl(const BatchSolverOptions& options)
+      : options_(options),
+        queue_wait_us_(
+            obs::Registry::global().histogram("service.queue_wait_us")) {}
 
   BatchSolverOptions options_;
+  // Looked up once (the lookup takes the registry mutex and may allocate);
+  // record() on it is lock-free. Registry histograms are never destroyed.
+  obs::Histogram& queue_wait_us_;
 
   mutable std::mutex queue_mutex_;
   std::condition_variable work_available_;
@@ -61,6 +68,11 @@ class BatchSolver::Impl {
                      std::list<std::pair<std::uint64_t, SolveResult>>::iterator>
       cache_index_;
   CacheStats cache_stats_;
+
+  // Declared after the state they use; joined (by shutdown()) before the
+  // Impl is destroyed.
+  std::vector<std::thread> workers_;
+  std::once_flag joined_;
 
   [[nodiscard]] std::optional<SolveResult> cache_get(std::uint64_t key) {
     std::scoped_lock lock(cache_mutex_);
@@ -94,36 +106,37 @@ class BatchSolver::Impl {
 };
 
 BatchSolver::BatchSolver(BatchSolverOptions options)
-    : impl_(std::make_unique<Impl>(options)), pool_(options.threads) {
-  // Each pool worker runs one pump loop for the service's lifetime. The loops
-  // block on the service's own condition variable, never on other pool tasks,
-  // honouring ThreadPool's no-task-interdependence contract.
-  for (std::size_t i = 0; i < pool_.size(); ++i) {
-    pool_.submit([this] { worker_loop(); });
+    : impl_(std::make_unique<Impl>(options)) {
+  std::size_t threads = options.threads;
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
+  impl_->workers_.reserve(threads);
+  try {
+    for (std::size_t i = 0; i < threads; ++i) {
+      impl_->workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    shutdown();  // join the workers already started before unwinding
+    throw;
   }
 }
 
-BatchSolver::~BatchSolver() {
-  shutdown();
-  try {
-    pool_.wait_idle();
-  } catch (...) {
-    // A pump loop died outside a solve (a library bug); its queued promises
-    // surface std::future_errc::broken_promise to their waiters, which is the
-    // loudest thing a destructor can safely do.
-  }
-}
+BatchSolver::~BatchSolver() { shutdown(); }
 
 void BatchSolver::shutdown() {
   {
     std::scoped_lock lock(impl_->queue_mutex_);
-    if (impl_->stopping_) return;
     impl_->stopping_ = true;
   }
   impl_->work_available_.notify_all();
   impl_->space_available_.notify_all();
-  pool_.wait_idle();  // pump loops drain the queue, then exit
+  // The workers drain the queue, then exit. call_once makes a concurrent
+  // second caller wait for the same joins instead of returning early.
+  std::call_once(impl_->joined_, [this] {
+    for (std::thread& worker : impl_->workers_) worker.join();
+  });
 }
+
+std::size_t BatchSolver::worker_count() const { return impl_->workers_.size(); }
 
 Submission BatchSolver::admit(SolveRequest&& request, bool blocking) {
   Submission submission;
@@ -171,15 +184,7 @@ Submission BatchSolver::submit(Instance instance, SolveOptions options) {
   return submit(SolveRequest{std::move(instance), std::move(options)});
 }
 
-Submission BatchSolver::try_submit(Instance instance, SolveOptions options) {
-  return try_submit(SolveRequest{std::move(instance), std::move(options)});
-}
-
 void BatchSolver::worker_loop() {
-  // One Registry histogram lookup per worker, not per request (the lookup
-  // takes the registry mutex; record() on the result is lock-free).
-  obs::Histogram& queue_wait_us =
-      obs::Registry::global().histogram("service.queue_wait_us");
   for (;;) {
     std::optional<Pending> pending;
     {
@@ -199,12 +204,19 @@ void BatchSolver::worker_loop() {
         std::chrono::duration_cast<std::chrono::microseconds>(
             CancelToken::Clock::now() - pending->enqueued)
             .count());
-    queue_wait_us.record(wait_us);
-    // The per-request counter event carries the same wait, so offline tools
-    // (mpss_trace's service table, --prom) can rebuild the distribution from
-    // a trace file alone.
-    obs::emit(nullptr, obs::EventKind::kCounter, "service.queue_wait", wait_us);
+    impl_->queue_wait_us_.record(wait_us);
     execute(std::move(*pending), wait_us);
+  }
+}
+
+void BatchSolver::execute(Pending pending, std::uint64_t queue_wait_us) {
+  // Whatever the run throws -- an InternalError from the engines, a failing
+  // trace sink, bad_alloc -- resolves this request's future, never the
+  // worker: the waiter sees the exception and the worker keeps serving.
+  try {
+    pending.promise.set_value(serve(pending.request, queue_wait_us));
+  } catch (...) {
+    pending.promise.set_exception(std::current_exception());
   }
 }
 
@@ -220,8 +232,13 @@ void annotate(SolveResult& result, std::uint64_t queue_wait_us, bool cache_hit) 
 
 }  // namespace
 
-void BatchSolver::execute(Pending pending, std::uint64_t queue_wait_us) {
-  const SolveRequest& request = pending.request;
+SolveResult BatchSolver::serve(const SolveRequest& request,
+                               std::uint64_t queue_wait_us) {
+  // The per-request counter event carries the queue wait, so offline tools
+  // (mpss_trace's service table, --prom) can rebuild the distribution from a
+  // trace file alone.
+  obs::emit(nullptr, obs::EventKind::kCounter, "service.queue_wait",
+            queue_wait_us);
   // Adopt the submitter's trace context: service.request becomes a root span
   // on this worker whose parent is the submitter's span in this process (the
   // daemon's net.request), and everything the engines emit below carries the
@@ -234,8 +251,6 @@ void BatchSolver::execute(Pending pending, std::uint64_t queue_wait_us) {
   std::optional<std::uint64_t> key;
   if (impl_->options_.cache_capacity != 0) {
     key = solve_fingerprint(request.instance, request.options);
-  }
-  if (key) {
     if (std::optional<SolveResult> cached = impl_->cache_get(*key)) {
       obs::Registry::global().add("service.cache_hits");
       obs::emit(nullptr, obs::EventKind::kCounter, "service.cache_hit", *key);
@@ -243,8 +258,7 @@ void BatchSolver::execute(Pending pending, std::uint64_t queue_wait_us) {
                 static_cast<std::uint64_t>(cached->status), /*b=*/1,
                 request_span.elapsed_seconds());
       annotate(*cached, queue_wait_us, /*cache_hit=*/true);
-      pending.promise.set_value(std::move(*cached));
-      return;
+      return std::move(*cached);
     }
     obs::Registry::global().add("service.cache_misses");
     obs::emit(nullptr, obs::EventKind::kCounter, "service.cache_miss", *key);
@@ -264,20 +278,12 @@ void BatchSolver::execute(Pending pending, std::uint64_t queue_wait_us) {
                 static_cast<std::uint64_t>(cancelled.status), /*b=*/0,
                 request_span.elapsed_seconds());
       annotate(cancelled, queue_wait_us, /*cache_hit=*/false);
-      pending.promise.set_value(std::move(cancelled));
-      return;
+      return cancelled;
     }
     run_options.cancel = &deadline_token;
   }
 
-  SolveResult result;
-  try {
-    result = solve(request.instance, run_options);
-  } catch (...) {
-    // solve() only throws InternalError (a library bug); hand it to the waiter.
-    pending.promise.set_exception(std::current_exception());
-    return;
-  }
+  SolveResult result = solve(request.instance, run_options);
   obs::emit(nullptr, obs::EventKind::kCounter, "service.done",
             static_cast<std::uint64_t>(result.status), /*b=*/0,
             request_span.elapsed_seconds());
@@ -302,7 +308,7 @@ void BatchSolver::execute(Pending pending, std::uint64_t queue_wait_us) {
   // Annotate AFTER cache_put so the cached copy stays clean -- a later hit
   // gets ITS queue wait stamped, not this request's.
   annotate(result, queue_wait_us, /*cache_hit=*/false);
-  pending.promise.set_value(std::move(result));
+  return result;
 }
 
 std::vector<SolveResult> BatchSolver::solve_many(

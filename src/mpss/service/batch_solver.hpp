@@ -3,11 +3,12 @@
 //
 // The solve() facade is synchronous and single-instance. Every batch-shaped
 // caller in the repo -- the experiment sweeps, the adversary search, the bench
-// harnesses -- had grown its own ThreadPool loop around it. BatchSolver is the
+// harnesses -- had grown its own thread-pool loop around it. BatchSolver is the
 // shared service those loops port to:
 //
-//   * a fixed pool of workers pumping a bounded, priority-ordered admission
-//     queue (backpressure: try_submit reports kQueueFull, submit blocks);
+//   * a fixed set of worker threads pumping a bounded, priority-ordered
+//     admission queue (backpressure: try_submit reports kQueueFull, submit
+//     blocks);
 //   * per-request soft deadlines and cooperative cancellation, delivered to
 //     the engines through SolveOptions::cancel and surfaced as
 //     SolveStatus::kDeadlineExceeded / kCancelled -- never as exceptions;
@@ -32,7 +33,6 @@
 
 #include "mpss/solve.hpp"
 #include "mpss/util/cancel.hpp"
-#include "mpss/util/thread_pool.hpp"
 
 namespace mpss {
 
@@ -94,9 +94,10 @@ struct BatchSolverOptions {
   std::size_t cache_capacity = 128;
 };
 
-/// Thread-pool-backed solve service. Construction starts the workers;
-/// destruction (or shutdown()) stops admission, drains every queued request,
-/// and joins -- no accepted future is ever abandoned.
+/// Multi-threaded solve service. Construction starts the workers; destruction
+/// (or shutdown()) stops admission, drains every queued request, and joins --
+/// no accepted future is ever abandoned. A request whose run throws resolves
+/// its future with that exception; the worker keeps serving.
 class BatchSolver {
  public:
   explicit BatchSolver(BatchSolverOptions options = BatchSolverOptions{});
@@ -105,7 +106,7 @@ class BatchSolver {
   BatchSolver(const BatchSolver&) = delete;
   BatchSolver& operator=(const BatchSolver&) = delete;
 
-  [[nodiscard]] std::size_t worker_count() const { return pool_.size(); }
+  [[nodiscard]] std::size_t worker_count() const;
 
   /// Queues a request, blocking while the bounded queue is full (the
   /// backpressure path for producers that must not drop work). Returns
@@ -116,13 +117,9 @@ class BatchSolver {
   /// queue is at capacity.
   [[nodiscard]] Submission try_submit(SolveRequest request);
 
-  /// Instance-first conveniences: the common "solve this value under these
-  /// knobs" shape without spelling out a SolveRequest (service hints take
-  /// their defaults: no deadline, priority 0).
-  [[nodiscard]] Submission submit(Instance instance,
-                                  SolveOptions options = SolveOptions{});
-  [[nodiscard]] Submission try_submit(Instance instance,
-                                      SolveOptions options = SolveOptions{});
+  /// Instance-first blocking submit: no deadline, priority 0 (the serving
+  /// benchmark's in-process reference path calls this form).
+  [[nodiscard]] Submission submit(Instance instance, SolveOptions options);
 
   /// Solves every instance under the same options and returns the results in
   /// input order (the one-shot batch API). Blocks until all are done.
@@ -144,7 +141,8 @@ class BatchSolver {
   [[nodiscard]] std::size_t queue_depth() const;
 
   /// Stops admission (further submits report kShutdown), drains the queue,
-  /// and joins the workers. Idempotent; the destructor calls it.
+  /// and joins the workers. Idempotent, and every caller returns only after
+  /// the drain; the destructor calls it.
   void shutdown();
 
  private:
@@ -153,10 +151,11 @@ class BatchSolver {
 
   void worker_loop();
   Submission admit(SolveRequest&& request, bool blocking);
-  void execute(Pending request, std::uint64_t queue_wait_us);
+  void execute(Pending pending, std::uint64_t queue_wait_us);
+  [[nodiscard]] SolveResult serve(const SolveRequest& request,
+                                  std::uint64_t queue_wait_us);
 
   std::unique_ptr<Impl> impl_;
-  ThreadPool pool_;  // declared last: workers must die before the state they use
 };
 
 /// One-shot convenience: spins up a BatchSolver (with `threads` workers; 0 =

@@ -3,25 +3,22 @@
 // (S44, see DESIGN.md).
 //
 // Two solve() calls with equal fingerprints must produce equal results, so the
-// fingerprint folds in everything a result depends on: the normalized jobs
-// (mpss::Q is kept canonical -- den > 0, gcd 1 -- so hashing num/den is
-// representation-independent), the machine count, the engine, the power
-// function's value identity, and every engine knob that shapes the output.
+// fingerprint folds in everything a result depends on: the instance's value
+// fingerprint (normalized jobs, machine count, power spec -- Instance::
+// fingerprint), the engine, and every engine knob that shapes the output.
 // Execution context that does NOT change the result -- the trace sink, the
 // cancel token -- is deliberately excluded.
 
 #include <cstdint>
-#include <optional>
 
 #include "mpss/core/job.hpp"
 #include "mpss/solve.hpp"
 
 namespace mpss {
 
-/// FNV-1a fingerprint of the solve, or nullopt when the pair has no stable
-/// value identity (a custom PowerFunction whose fingerprint() returns 0) --
-/// the cache skips such requests rather than risk a false hit.
-[[nodiscard]] std::optional<std::uint64_t> solve_fingerprint(
-    const Instance& instance, const SolveOptions& options);
+/// FNV-1a fingerprint of the solve. Every (instance, options) pair has one:
+/// the power is the instance's serializable spec, never an opaque callable.
+[[nodiscard]] std::uint64_t solve_fingerprint(const Instance& instance,
+                                              const SolveOptions& options);
 
 }  // namespace mpss

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "mpss/core/optimal.hpp"
 #include "mpss/lp/lp_baseline.hpp"
 #include "mpss/obs/registry.hpp"
 #include "mpss/online/oa.hpp"
@@ -12,14 +13,11 @@
 namespace mpss {
 namespace {
 
-/// Resolves the power function for one solve; precedence, highest first:
-/// an explicit SolveOptions::power override, then the instance's PowerSpec.
-/// `owned` keeps a spec instantiation alive for the call.
-const PowerFunction& effective_power(const Instance& instance,
-                                     const SolveOptions& options,
+/// The instance's PowerSpec as a callable; `owned` keeps a non-default
+/// spec's instantiation alive for the call.
+const PowerFunction& measuring_power(const Instance& instance,
                                      std::unique_ptr<PowerFunction>& owned) {
   static const AlphaPower kCube(3.0);
-  if (options.power != nullptr) return *options.power;
   if (instance.power().is_default()) return kCube;  // no allocation on the default
   owned = instance.power().instantiate();
   return *owned;
@@ -35,7 +33,7 @@ obs::TraceSink* resolve_trace_sink(const SolveOptions& options) {
 
 SolveResult run_engine(const Instance& instance, const SolveOptions& options) {
   std::unique_ptr<PowerFunction> owned_power;
-  const PowerFunction& p = effective_power(instance, options, owned_power);
+  const PowerFunction& p = measuring_power(instance, owned_power);
   obs::TraceSink* sink = resolve_trace_sink(options);
   SolveResult result;
 
@@ -45,7 +43,7 @@ SolveResult run_engine(const Instance& instance, const SolveOptions& options) {
 
   switch (options.engine) {
     case Engine::kExact: {
-      OptimalOptions exact = options.exact;
+      OptimalOptions exact;
       exact.cancel = options.cancel;
       OptimalResult r = optimal_schedule(instance, exact, sink);
       result.energy = r.schedule.energy(p);
@@ -223,20 +221,6 @@ SolveResult solve(const Instance& instance, const SolveOptions& options) {
     result.status = SolveStatus::kInvalidInstance;
     result.error_detail = error.what();
     return finish(std::move(result));
-  }
-}
-
-SolveResult solve(std::vector<Job> jobs, std::size_t machines,
-                  const SolveOptions& options) {
-  try {
-    return solve(Instance(std::move(jobs), machines), options);
-  } catch (const std::invalid_argument& error) {
-    // The Instance constructor's validation, converted to the facade's status
-    // convention (the Instance overload never sees an invalid instance).
-    SolveResult result;
-    result.status = SolveStatus::kInvalidInstance;
-    result.error_detail = error.what();
-    return result;
   }
 }
 

@@ -18,9 +18,7 @@
 #include <variant>
 
 #include "mpss/core/job.hpp"
-#include "mpss/core/optimal.hpp"
 #include "mpss/core/optimal_fast.hpp"
-#include "mpss/core/power.hpp"
 #include "mpss/core/schedule.hpp"
 #include "mpss/obs/stats.hpp"
 #include "mpss/online/avr.hpp"
@@ -69,19 +67,14 @@ enum class SolveStatus {
     std::string_view name);
 
 /// Knobs of solve(). Default-constructed options run the exact engine with the
-/// library defaults and P(s) = s^3.
+/// library defaults. The power function is not a knob: every engine measures
+/// energy (and the LP engine builds its objective) under the instance's
+/// PowerSpec, so a result depends on the instance and these options alone.
 struct SolveOptions {
+  /// The exact engine always runs with OptimalOptions' defaults (the paper's
+  /// removal rule, warm-started rounds); ablations and the rebuild reference
+  /// path call optimal_schedule() directly.
   Engine engine = Engine::kExact;
-
-  /// Power function used to measure the returned energy (and to drive the LP
-  /// objective). Null means "use the instance's PowerSpec" (whose default is
-  /// P(s) = s^3); a non-null pointer overrides the spec -- the escape hatch
-  /// for arbitrary callables the serializable spec cannot express. Not owned;
-  /// must outlive the call.
-  const PowerFunction* power = nullptr;
-
-  /// Exact engine (also the planner inside OA).
-  OptimalOptions exact;
 
   /// Fast engine: relative tolerance of the flow-saturation tests, in
   /// (0, kFastEpsilonLimit). The fast engine always warm-starts its rounds;
@@ -130,8 +123,8 @@ struct SolveResult {
   /// forwards it verbatim in its error payload.
   std::string error_detail;
 
-  /// Energy of the produced schedule under the options' power function
-  /// (the LP engine reports its objective). 0 when status != kOk.
+  /// Energy of the produced schedule under the instance's PowerSpec (the LP
+  /// engine reports its objective). 0 when status != kOk.
   double energy = 0.0;
 
   /// The schedule, when the engine produces one: exact engines yield Schedule,
@@ -164,13 +157,6 @@ struct SolveResult {
 /// Runs the selected engine on `instance`. Never throws on predictable input
 /// problems (those come back as statuses); InternalError still propagates.
 [[nodiscard]] SolveResult solve(const Instance& instance,
-                                const SolveOptions& options = SolveOptions{});
-
-/// Thin delegating wrapper over the Instance form, for callers holding loose
-/// (jobs, machines) pairs. Instance validation failures (machines == 0, a job
-/// with release >= deadline) come back as kInvalidInstance instead of the
-/// constructor's exception, matching the facade's no-throw contract.
-[[nodiscard]] SolveResult solve(std::vector<Job> jobs, std::size_t machines,
                                 const SolveOptions& options = SolveOptions{});
 
 }  // namespace mpss

@@ -1,6 +1,6 @@
 #pragma once
 // FNV-1a accumulation helpers shared by the value-identity fingerprints
-// (PowerFunction::fingerprint, solve_fingerprint). Not a cryptographic hash:
+// (PowerSpec::fingerprint, solve_fingerprint). Not a cryptographic hash:
 // fingerprints gate a result cache, where a collision is astronomically
 // unlikely 64-bit bad luck, not an attack surface.
 

@@ -310,6 +310,10 @@ void Value::set(std::string key, Value value) {
   members->emplace_back(std::move(key), std::move(value));
 }
 
+bool is_integer_in(double raw, double lo, double hi) {
+  return raw >= lo && raw <= hi && raw == std::floor(raw);
+}
+
 Value parse(std::string_view text) { return Parser(text).parse_document(); }
 
 void serialize_to(const Value& value, std::string& out) {

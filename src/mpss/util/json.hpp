@@ -76,6 +76,16 @@ class Value {
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> data_;
 };
 
+/// The largest double that is still an exact integer (2^53).
+inline constexpr double kMaxExactInteger = 9007199254740992.0;
+
+/// The one range check for integer fields decoded from JSON numbers: true iff
+/// `raw` is an integer in [lo, hi]. Run it BEFORE casting -- a cast from a
+/// double past the target's range (a hostile 1e300, inf) is undefined
+/// behavior. Written in the accepting direction, so NaN (which fails every
+/// comparison) is rejected too.
+[[nodiscard]] bool is_integer_in(double raw, double lo, double hi);
+
 /// Parses one JSON document (trailing whitespace allowed, anything else after
 /// the document throws). Throws std::invalid_argument with an offset-carrying
 /// message on malformed input. Depth is capped (kMaxDepth) so adversarial

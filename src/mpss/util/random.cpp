@@ -64,9 +64,13 @@ std::uint64_t Xoshiro256::below(std::uint64_t bound) {
 }
 
 std::int64_t Xoshiro256::uniform_int(std::int64_t lo, std::int64_t hi) {
-  std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
+  // Unsigned (mod 2^64) arithmetic: `hi - lo` and `lo + offset` overflow
+  // int64 for ranges wider than 2^63, and the wrapped sums are exactly the
+  // values the signed forms produce on every range that does not overflow.
+  const auto base = static_cast<std::uint64_t>(lo);
+  std::uint64_t span = static_cast<std::uint64_t>(hi) - base + 1;
   if (span == 0) return static_cast<std::int64_t>((*this)());  // full 64-bit range
-  return lo + static_cast<std::int64_t>(below(span));
+  return static_cast<std::int64_t>(base + below(span));
 }
 
 double Xoshiro256::uniform01() {

@@ -1,101 +1,16 @@
 #include "mpss/util/thread_pool.hpp"
 
-#include <chrono>
-#include <stdexcept>
-#include <string>
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "mpss/obs/registry.hpp"
 #include "mpss/obs/span.hpp"
 
 namespace mpss {
-
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock lock(mutex_);
-    shutdown_ = true;
-  }
-  task_available_.notify_all();
-  for (auto& worker : workers_) worker.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::unique_lock lock(mutex_);
-    if (shutdown_) throw std::logic_error("ThreadPool::submit after shutdown");
-    tasks_.push(std::move(task));
-    ++in_flight_;
-  }
-  obs::Registry::global().add("pool.tasks");
-  task_available_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-  if (!first_error_) return;
-  std::exception_ptr error = first_error_;
-  const std::size_t failures = error_count_;
-  first_error_ = nullptr;
-  error_count_ = 0;
-  lock.unlock();
-  if (failures <= 1) std::rethrow_exception(error);
-  // Several tasks failed; surface the first message and the count of the rest
-  // instead of silently pretending only one thing went wrong.
-  try {
-    std::rethrow_exception(error);
-  } catch (const std::exception& e) {
-    throw std::runtime_error(std::string(e.what()) + " (+" +
-                             std::to_string(failures - 1) +
-                             " more pool task failures)");
-  } catch (...) {
-    throw std::runtime_error("ThreadPool: " + std::to_string(failures) +
-                             " task failures (first was not a std::exception)");
-  }
-}
-
-void ThreadPool::worker_loop() {
-  // One registry lookup per worker thread, not per task: Histogram::record is
-  // lock-free, the name lookup is not.
-  obs::Histogram& task_us = obs::Registry::global().histogram("pool.task_us");
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mutex_);
-      task_available_.wait(lock, [this] { return shutdown_ || !tasks_.empty(); });
-      if (tasks_.empty()) return;  // shutdown with drained queue
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    try {
-      obs::SpanScope task_span(nullptr, "pool.task");
-      const auto start = std::chrono::steady_clock::now();
-      task();
-      task_us.record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count()));
-    } catch (...) {
-      std::unique_lock lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
-      ++error_count_;
-    }
-    {
-      std::unique_lock lock(mutex_);
-      if (--in_flight_ == 0) all_done_.notify_all();
-    }
-  }
-}
 
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body,
                   std::size_t threads) {

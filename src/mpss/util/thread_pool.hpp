@@ -1,59 +1,16 @@
 #pragma once
-// Fixed-size thread pool + parallel_for helper (substrate S20).
+// parallel_for sweep helper (substrate S20).
 //
 // The experiment harnesses sweep (alpha, m, seed) grids where each cell runs an
-// exact-arithmetic scheduler; cells are independent, so a simple work-stealing-free
-// pool with an atomic index is all that's needed. Exceptions thrown by tasks are
-// captured and rethrown on the calling thread.
+// exact-arithmetic scheduler; cells are independent, so a work-stealing-free
+// loop over an atomic index is all that's needed. Exceptions thrown by the body
+// are captured and rethrown on the calling thread. (Services that need a
+// queue -- BatchSolver -- own their worker threads directly.)
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <queue>
-#include <thread>
-#include <vector>
 
 namespace mpss {
-
-/// Standard condition-variable task queue pool. Threads are joined in the
-/// destructor; submitting after shutdown throws.
-class ThreadPool {
- public:
-  /// `threads == 0` means hardware_concurrency() (at least 1).
-  explicit ThreadPool(std::size_t threads = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  [[nodiscard]] std::size_t size() const { return workers_.size(); }
-
-  /// Enqueues a task. Tasks must not block waiting for other pool tasks.
-  void submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished. If tasks threw, rethrows:
-  /// the sole captured exception verbatim when exactly one task failed, else a
-  /// std::runtime_error carrying the first failure's message plus the count of
-  /// further failures (so a multi-failure batch is never mistaken for a
-  /// single bad task). Resets the error state either way.
-  void wait_idle();
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
-  std::mutex mutex_;
-  std::condition_variable task_available_;
-  std::condition_variable all_done_;
-  std::size_t in_flight_ = 0;
-  bool shutdown_ = false;
-  std::exception_ptr first_error_;
-  std::size_t error_count_ = 0;
-};
 
 /// Runs body(i) for i in [0, count) across `threads` workers (0 = hardware
 /// concurrency). Blocks until done; rethrows the first task exception.

@@ -82,11 +82,15 @@ class FaultProxy::Impl {
 
   /// One proxied connection: both sockets and the single pump thread that
   /// shuttles both directions via poll(). One thread per link (not one per
-  /// direction) means the fault executor is the only toucher of the fds, so
+  /// direction) means the fault executor is the only reader of the fds, so
   /// it may linger-close them to force an RST without racing a reader.
+  /// `close_mutex` orders that close against teardown's wake-up shutdown(),
+  /// which would otherwise read a descriptor the pump is closing (and could
+  /// hit an unrelated socket that reused its number).
   struct Link {
     ScopedFd client;
     ScopedFd upstream;
+    std::mutex close_mutex;
     std::thread pump;
   };
 
@@ -111,6 +115,7 @@ class FaultProxy::Impl {
       // Wake pumps blocked in poll/recv; stalled pumps notice stop_ on their
       // next tick. shutdown (not close) is safe while the pump still owns
       // the fds.
+      std::scoped_lock close_lock(link->close_mutex);
       if (link->client.valid()) ::shutdown(link->client.get(), SHUT_RDWR);
       if (link->upstream.valid()) ::shutdown(link->upstream.get(), SHUT_RDWR);
     }
@@ -188,6 +193,7 @@ class FaultProxy::Impl {
   /// can observe the fault.
   void execute_cut(Link& link, const FaultPlan& plan) {
     if (plan.kind == FaultKind::kReset) {
+      std::scoped_lock close_lock(link.close_mutex);
       force_reset_on_close(link.client.get());
       force_reset_on_close(link.upstream.get());
       link.client.close();

@@ -9,10 +9,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "mpss/obs/registry.hpp"
+#include "mpss/obs/trace.hpp"
 #include "mpss/service/fingerprint.hpp"
 #include "mpss/util/cancel.hpp"
 #include "mpss/workload/generators.hpp"
@@ -309,11 +312,36 @@ TEST(BatchSolver, WorkerArenasWarmUpAcrossRequests) {
   obs::Registry::global().reset();
 }
 
+TEST(BatchSolver, ThrowingRunResolvesItsFutureAndTheWorkerSurvives) {
+  // A trace sink whose first write fails makes that solve throw something
+  // that is not a status. The exception must land in that request's future,
+  // and the only worker must go on to serve the next request.
+  class FailOnceSink final : public obs::TraceSink {
+   public:
+    void record(const obs::TraceEvent&) override {
+      if (!failed_.exchange(true)) throw std::runtime_error("sink write failed");
+    }
+
+   private:
+    std::atomic<bool> failed_{false};
+  };
+  FailOnceSink sink;
+  BatchSolver service(BatchSolverOptions{.threads = 1, .queue_capacity = 0,
+                                         .cache_capacity = 0});
+  SolveOptions traced;
+  traced.trace = &sink;
+  Submission failing = service.submit({test_instance(1), traced});
+  Submission next = service.submit({test_instance(2), SolveOptions{}});
+  ASSERT_TRUE(failing.accepted());
+  ASSERT_TRUE(next.accepted());
+  EXPECT_THROW((void)failing.future.get(), std::runtime_error);
+  EXPECT_TRUE(next.future.get().ok());
+}
+
 TEST(Fingerprint, StableAcrossCopiesAndSensitiveToInputs) {
   Instance instance = test_instance(9);
   SolveOptions options;
-  auto fp = solve_fingerprint(instance, options);
-  ASSERT_TRUE(fp.has_value());
+  std::uint64_t fp = solve_fingerprint(instance, options);
   // Deterministic across instance copies.
   EXPECT_EQ(fp, solve_fingerprint(Instance(instance), SolveOptions{}));
   // Machine count, engine, and knobs all shift the key.
@@ -331,27 +359,17 @@ TEST(Fingerprint, StableAcrossCopiesAndSensitiveToInputs) {
   EXPECT_EQ(fp, solve_fingerprint(instance, traced));
 }
 
-TEST(Fingerprint, PowerFunctionsCarryValueIdentity) {
+TEST(Fingerprint, PowerSpecsCarryValueIdentity) {
   Instance instance = test_instance(9);
-  AlphaPower cube_a(3.0), cube_b(3.0), square(2.0);
-  SolveOptions a, b, c;
-  a.power = &cube_a;
-  b.power = &cube_b;
-  c.power = &square;
-  // Same alpha, different objects: same key. Different alpha: different key.
-  EXPECT_EQ(solve_fingerprint(instance, a), solve_fingerprint(instance, b));
-  EXPECT_NE(solve_fingerprint(instance, a), solve_fingerprint(instance, c));
-
-  // A custom power function without a stable fingerprint is uncacheable.
-  class OpaquePower final : public PowerFunction {
-   public:
-    [[nodiscard]] double power(double speed) const override { return speed; }
-    [[nodiscard]] std::string name() const override { return "opaque"; }
-  };
-  OpaquePower opaque;
-  SolveOptions uncacheable;
-  uncacheable.power = &opaque;
-  EXPECT_FALSE(solve_fingerprint(instance, uncacheable).has_value());
+  const SolveOptions options;
+  // Same alpha from separate specs: same key. Different alpha: different key.
+  EXPECT_EQ(solve_fingerprint(instance.with_power(PowerSpec::alpha(2.0)), options),
+            solve_fingerprint(instance.with_power(PowerSpec::alpha(2.0)), options));
+  EXPECT_NE(solve_fingerprint(instance.with_power(PowerSpec::alpha(2.0)), options),
+            solve_fingerprint(instance, options));
+  // The default spec is P(s) = s^3, so it keys like an explicit alpha(3).
+  EXPECT_EQ(solve_fingerprint(instance.with_power(PowerSpec::alpha(3.0)), options),
+            solve_fingerprint(instance, options));
 }
 
 TEST(Fingerprint, SubmitStatusNamesAreStable) {

@@ -1,7 +1,9 @@
 // Instance as a first-class value (S45): PowerSpec, equality, fingerprints,
 // and the canonical JSON codec every text consumer shares.
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -97,6 +99,37 @@ TEST(InstanceValue, FingerprintIsStableAndDiscriminates) {
                            Job{Q(2), Q(4), Q(5)}},
                           2);
   EXPECT_NE(a.fingerprint(), different_jobs.fingerprint());
+}
+
+TEST(InstanceValue, FingerprintsArePinnedForEveryPowerKind) {
+  // Recorded literals: the result cache and the codec-shared identity key on
+  // these values, so neither the instance's nor the spec's fingerprint (nor
+  // the spec's name) may drift when their implementation changes.
+  const Instance base =
+      load_instance(std::string(MPSS_DATA_DIR) + "/uniform_m3.instance.json");
+  struct Pin {
+    PowerSpec power;
+    std::uint64_t instance_fp;
+    std::uint64_t spec_fp;
+    const char* name;
+  };
+  const Pin pins[] = {
+      {PowerSpec{}, 0xfcfffa7ca00192f7ull, 0x543b815802f39a0aull, "s^3"},
+      {PowerSpec::alpha(3.0), 0xfcfffa7ca00192f7ull, 0x543b815802f39a0aull, "s^3"},
+      {PowerSpec::alpha(2.5), 0xecfec829262cc0a6ull, 0x542d695802e733e6ull,
+       "s^2.5"},
+      {PowerSpec::piecewise({{0.0, 0.0}, {1.0, 1.0}, {2.0, 4.0}}),
+       0x1cd33db5acfd17b8ull, 0x3dbc995f51623e92ull, "piecewise[3]"},
+      {PowerSpec::cubic_leakage(1.0, 0.5, 0.25), 0x7804e0ffc1ec66e4ull,
+       0x2b2c9d87f4ff632dull, "1*s^3+0.5*s+0.25"},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    EXPECT_EQ(base.with_power(pin.power).fingerprint(), pin.instance_fp);
+    EXPECT_EQ(pin.power.fingerprint(), pin.spec_fp);
+    EXPECT_EQ(pin.power.name(), pin.name);
+    EXPECT_EQ(pin.power.name(), pin.power.instantiate()->name());
+  }
 }
 
 TEST(InstanceValue, DerivedInstancesCarryThePowerSpec) {
@@ -203,33 +236,11 @@ TEST(InstancePower, SolveUsesTheInstanceSpec) {
   // Same schedule (power-independent), different measured energy.
   EXPECT_NE(cube_result.energy, square_result.energy);
 
-  // An explicit options.power still overrides the spec (the escape hatch).
-  AlphaPower p(3.0);
-  SolveOptions options;
-  options.power = &p;
-  EXPECT_DOUBLE_EQ(solve(square, options).energy, cube_result.energy);
-}
-
-TEST(InstancePower, LooseJobsWrapperMatchesInstanceForm) {
-  Instance instance = small_instance();
-  SolveResult via_instance = solve(instance);
-  SolveResult via_jobs = solve(
-      {Job{Q(0), Q(8), Q(6)}, Job{Q(2), Q(4), Q(6)}, Job{Q(2), Q(4), Q(4)}}, 2);
-  ASSERT_TRUE(via_instance.ok());
-  ASSERT_TRUE(via_jobs.ok());
-  EXPECT_EQ(via_instance.energy, via_jobs.energy);
-}
-
-TEST(InstancePower, LooseJobsWrapperReportsInvalidInstanceAsStatus) {
-  // machines == 0 and release >= deadline throw from the Instance constructor;
-  // the facade wrapper must convert both to kInvalidInstance + error_detail.
-  SolveResult no_machines = solve({Job{Q(0), Q(1), Q(1)}}, 0);
-  EXPECT_EQ(no_machines.status, SolveStatus::kInvalidInstance);
-  EXPECT_FALSE(no_machines.error_detail.empty());
-
-  SolveResult bad_window = solve({Job{Q(2), Q(1), Q(1)}}, 1);
-  EXPECT_EQ(bad_window.status, SolveStatus::kInvalidInstance);
-  EXPECT_FALSE(bad_window.error_detail.empty());
+  // The spec is the only power source; measuring the returned schedule under
+  // another function is the caller's own call.
+  ASSERT_NE(cube_result.exact_schedule(), nullptr);
+  EXPECT_DOUBLE_EQ(square_result.energy,
+                   cube_result.exact_schedule()->energy(AlphaPower(2.0)));
 }
 
 TEST(InstancePower, ErrorDetailIsEmptyExactlyWhenOk) {

@@ -188,7 +188,6 @@ TEST(Protocol, RetiredWarmStartKeysAreIgnored) {
   SolveOptions decoded = solve_options_from_json_value(json::parse(
       R"({"engine":"fast","exact_incremental":false,"fast_incremental":false})"));
   EXPECT_EQ(decoded.engine, Engine::kFast);
-  EXPECT_TRUE(decoded.exact.incremental);
   json::Value encoded = solve_options_to_json_value(decoded);
   EXPECT_EQ(encoded.find("exact_incremental"), nullptr);
   EXPECT_EQ(encoded.find("fast_incremental"), nullptr);

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <utility>
 
 namespace mpss {
 namespace {
@@ -49,6 +52,54 @@ TEST(Random, UniformIntInclusiveRange) {
   }
   EXPECT_TRUE(saw_lo);
   EXPECT_TRUE(saw_hi);
+}
+
+TEST(Random, UniformIntMatchesTheOffsetFormOnNarrowRanges) {
+  // The draw is lo + below(hi - lo + 1): seeded workloads depend on every
+  // narrow range keeping exactly these values.
+  for (auto [lo, hi] : {std::pair<std::int64_t, std::int64_t>{-3, 3},
+                        {0, 0}, {1, 1'000'000}, {-1'000'000, -7}}) {
+    Xoshiro256 drawn(29);
+    Xoshiro256 reference(29);
+    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_EQ(drawn.uniform_int(lo, hi),
+                lo + static_cast<std::int64_t>(reference.below(span)));
+    }
+  }
+}
+
+TEST(Random, UniformIntSpanningMoreThanHalfTheRange) {
+  // hi - lo = 2^63 overflows int64; the draw must stay in range all the same.
+  constexpr std::int64_t kQuarter = std::int64_t{1} << 62;
+  Xoshiro256 rng(31);
+  bool saw_negative = false, saw_positive = false;
+  for (int i = 0; i < 2000; ++i) {
+    std::int64_t v = rng.uniform_int(-kQuarter, kQuarter);
+    ASSERT_GE(v, -kQuarter);
+    ASSERT_LE(v, kQuarter);
+    saw_negative |= v < 0;
+    saw_positive |= v > 0;
+  }
+  EXPECT_TRUE(saw_negative);
+  EXPECT_TRUE(saw_positive);
+}
+
+TEST(Random, UniformIntOverTheFullInt64Range) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  Xoshiro256 rng(37);
+  Xoshiro256 raw(37);
+  // The full range is the generator's raw output reinterpreted as signed.
+  bool saw_negative = false, saw_positive = false;
+  for (int i = 0; i < 200; ++i) {
+    std::int64_t v = rng.uniform_int(kMin, kMax);
+    ASSERT_EQ(v, static_cast<std::int64_t>(raw()));
+    saw_negative |= v < 0;
+    saw_positive |= v > 0;
+  }
+  EXPECT_TRUE(saw_negative);
+  EXPECT_TRUE(saw_positive);
 }
 
 TEST(Random, Uniform01InHalfOpenRange) {

@@ -1,6 +1,6 @@
 // Lock-free per-thread trace rings (S43): seq-ordered drain, bounded-memory
 // drop accounting, downstream forwarding on flush/destruction, and concurrent
-// producers from the ThreadPool (the TSan CI job runs this suite to certify
+// producers from parallel_for (the TSan CI job runs this suite to certify
 // the acquire/release protocol).
 
 #include <algorithm>

@@ -22,11 +22,9 @@ Instance test_instance() {
                            .max_window = 8, .max_work = 6}, 42);
 }
 
-SolveResult run(const Instance& instance, Engine engine,
-                const PowerFunction* p = nullptr) {
+SolveResult run(const Instance& instance, Engine engine) {
   SolveOptions options;
   options.engine = engine;
-  options.power = p;
   return solve(instance, options);
 }
 
@@ -205,24 +203,24 @@ TEST(Solve, LpEngineIsAScheduleFreeEnergyBound) {
 }
 
 TEST(Solve, FacadeEnergyMatchesTheFreeFunctions) {
-  Instance instance = test_instance();
+  // The power travels on the instance; the free functions take it explicitly.
+  Instance instance = test_instance().with_power(PowerSpec::alpha(2.5));
   AlphaPower p(2.5);
-  EXPECT_DOUBLE_EQ(run(instance, Engine::kExact, &p).energy,
+  EXPECT_DOUBLE_EQ(run(instance, Engine::kExact).energy,
                    optimal_energy(instance, p));
-  EXPECT_DOUBLE_EQ(run(instance, Engine::kFast, &p).energy,
+  EXPECT_DOUBLE_EQ(run(instance, Engine::kFast).energy,
                    optimal_schedule_fast(instance).schedule.energy(p));
-  EXPECT_DOUBLE_EQ(run(instance, Engine::kOa, &p).energy, oa_energy(instance, p));
-  EXPECT_DOUBLE_EQ(run(instance, Engine::kAvr, &p).energy,
-                   avr_energy(instance, p));
-  EXPECT_DOUBLE_EQ(run(instance, Engine::kLp, &p).energy,
+  EXPECT_DOUBLE_EQ(run(instance, Engine::kOa).energy, oa_energy(instance, p));
+  EXPECT_DOUBLE_EQ(run(instance, Engine::kAvr).energy, avr_energy(instance, p));
+  EXPECT_DOUBLE_EQ(run(instance, Engine::kLp).energy,
                    lp_baseline(instance, p, 8).energy);
 }
 
 TEST(Solve, DefaultPowerIsCube) {
   Instance instance = test_instance();
-  AlphaPower cube(3.0);
-  EXPECT_DOUBLE_EQ(run(instance, Engine::kExact).energy,
-                   run(instance, Engine::kExact, &cube).energy);
+  EXPECT_DOUBLE_EQ(
+      run(instance, Engine::kExact).energy,
+      run(instance.with_power(PowerSpec::alpha(3.0)), Engine::kExact).energy);
 }
 
 TEST(Solve, PredictableInputProblemsBecomeStatusesNotThrows) {

@@ -1,6 +1,6 @@
 // Hierarchical spans (S43): RAII begin/end pairing, parent tracking through
 // the thread-local span stack, span-id stamping into ordinary events, the
-// registry-sink fallback, per-thread independence under the ThreadPool, and
+// registry-sink fallback, per-thread independence under parallel_for, and
 // the headline attribution property -- on a real corpus solve the root span
 // covers (almost all of) the engine's reported wall time.
 

@@ -1,4 +1,4 @@
-// Tests for the thread pool and parallel_for (sweep substrate S20).
+// Tests for parallel_for (sweep substrate S20).
 
 #include "mpss/util/thread_pool.hpp"
 
@@ -7,82 +7,10 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 namespace mpss {
 namespace {
-
-TEST(ThreadPool, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, SizeReflectsConstruction) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.size(), 3u);
-  ThreadPool defaulted(0);
-  EXPECT_GE(defaulted.size(), 1u);
-}
-
-TEST(ThreadPool, WaitIdleRethrowsTaskException) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The pool survives and remains usable.
-  std::atomic<int> counter{0};
-  pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPool, WaitIdleAggregatesMultipleTaskFailures) {
-  ThreadPool pool(2);
-  for (int i = 0; i < 5; ++i) {
-    pool.submit([] { throw std::runtime_error("task failed"); });
-  }
-  try {
-    pool.wait_idle();
-    FAIL() << "wait_idle must rethrow";
-  } catch (const std::runtime_error& error) {
-    // The first message survives and the other four failures are counted,
-    // not silently swallowed.
-    EXPECT_NE(std::string(error.what()).find("task failed"), std::string::npos);
-    EXPECT_NE(std::string(error.what()).find("+4 more pool task failures"),
-              std::string::npos)
-        << error.what();
-  }
-  // Error state resets: a clean wave reports nothing.
-  pool.submit([] {});
-  pool.wait_idle();
-}
-
-TEST(ThreadPool, WaitIdleRethrowsSingleFailureVerbatim) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::invalid_argument("exact type preserved"); });
-  // Exactly one failure: the original exception object, not a wrapper.
-  EXPECT_THROW(pool.wait_idle(), std::invalid_argument);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-}
-
-TEST(ThreadPool, ManyWaves) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int wave = 0; wave < 10; ++wave) {
-    for (int i = 0; i < 20; ++i) pool.submit([&counter] { counter.fetch_add(1); });
-    pool.wait_idle();
-  }
-  EXPECT_EQ(counter.load(), 200);
-}
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(1000);
