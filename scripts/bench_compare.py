@@ -5,7 +5,11 @@ Usage:
     bench_compare.py BASELINE.json CANDIDATE.json [options]
 
 Options:
-    --metric {cpu_time,real_time}   metric to compare (default: cpu_time)
+    --metric {cpu_time,real_time}   metric to compare (default: cpu_time);
+                                    benchmarks registered with UseRealTime()
+                                    (names ending in "/real_time") always
+                                    compare real_time -- their cpu_time is
+                                    only the driving thread's
     --tolerance FRAC                allowed slowdown fraction for every
                                     benchmark (default: 0.10 = 10%)
     --tol NAME=FRAC                 per-benchmark override, repeatable
@@ -29,8 +33,14 @@ import json
 import sys
 
 
+def metric_for(name, metric):
+    """real_time for UseRealTime() benchmarks: their work runs on other
+    threads, so cpu_time (the driver's) reads e.g. 0.11 ms for a 44 ms solve."""
+    return "real_time" if name.endswith("/real_time") else metric
+
+
 def load_iterations(path, metric):
-    """Map benchmark name -> metric value for the snapshot's iteration runs."""
+    """Map benchmark name -> compared value for the snapshot's iteration runs."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -45,9 +55,11 @@ def load_iterations(path, metric):
     for bench in data["benchmarks"]:
         if bench.get("run_type") != "iteration":
             continue
-        value = bench.get(metric)
         name = bench.get("name")
-        if name is None or value is None:
+        if name is None:
+            continue
+        value = bench.get(metric_for(name, metric))
+        if value is None:
             continue
         runs[name] = float(value)
     return runs

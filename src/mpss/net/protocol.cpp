@@ -1,6 +1,7 @@
 #include "mpss/net/protocol.hpp"
 
 #include <charconv>
+#include <exception>
 #include <utility>
 
 namespace mpss::net {
@@ -54,97 +55,6 @@ void check_version(const json::Value& document) {
       version->as_double() != static_cast<double>(kProtocolVersion)) {
     throw ProtocolError(ErrorCode::kUnsupportedVersion,
                         "protocol: expected v=" + std::to_string(kProtocolVersion));
-  }
-}
-
-json::Value schedule_to_json(const SolveResult& result) {
-  json::Value out;
-  if (const Schedule* exact = result.exact_schedule()) {
-    out.set("type", "exact");
-    out.set("machines", exact->machines());
-    json::Array slices;
-    slices.reserve(exact->slice_count());
-    for (std::size_t machine = 0; machine < exact->machines(); ++machine) {
-      for (const Slice& slice : exact->machine(machine)) {
-        slices.push_back(json::Array{
-            json::Value(machine), json::Value(slice.start.to_string()),
-            json::Value(slice.end.to_string()), json::Value(slice.speed.to_string()),
-            json::Value(slice.job)});
-      }
-    }
-    out.set("slices", std::move(slices));
-  } else if (const FastSchedule* fast = result.fast_schedule()) {
-    out.set("type", "fast");
-    out.set("machines", fast->machines.size());
-    json::Array slices;
-    slices.reserve(fast->slice_count());
-    for (std::size_t machine = 0; machine < fast->machines.size(); ++machine) {
-      for (const FastSlice& slice : fast->machines[machine]) {
-        slices.push_back(json::Array{json::Value(machine), json::Value(slice.start),
-                                     json::Value(slice.end), json::Value(slice.speed),
-                                     json::Value(slice.job)});
-      }
-    }
-    out.set("slices", std::move(slices));
-  } else {
-    out.set("type", "none");
-  }
-  return out;
-}
-
-std::size_t slice_machine(const json::Array& fields, std::size_t machines) {
-  double raw = fields[0].as_double();
-  if (!is_integer_in(raw, 0.0, static_cast<double>(machines - 1))) {
-    throw std::invalid_argument("protocol: slice machine index out of range");
-  }
-  return static_cast<std::size_t>(raw);
-}
-
-std::size_t slice_job(const json::Value& value) {
-  return static_cast<std::size_t>(
-      checked_u64(value.as_double(), "slice job index"));
-}
-
-void schedule_from_json(const json::Value& value, SolveResult& result) {
-  const std::string& type = value.at("type").as_string();
-  if (type == "none") return;
-  double machines_raw = value.at("machines").as_double();
-  if (!is_integer_in(machines_raw, 1.0, kMaxExactInteger)) {
-    throw std::invalid_argument("protocol: schedule machines must be >= 1");
-  }
-  auto machines = static_cast<std::size_t>(machines_raw);
-  const json::Array& slices = value.at("slices").as_array();
-  if (type == "exact") {
-    Schedule schedule(machines);
-    for (const json::Value& row : slices) {
-      const json::Array& fields = row.as_array();
-      if (fields.size() != 5) {
-        throw std::invalid_argument(
-            "protocol: slices must be [machine, start, end, speed, job]");
-      }
-      schedule.add(slice_machine(fields, machines),
-                   Slice{Q::from_string(fields[1].as_string()),
-                         Q::from_string(fields[2].as_string()),
-                         Q::from_string(fields[3].as_string()),
-                         slice_job(fields[4])});
-    }
-    result.schedule = std::move(schedule);
-  } else if (type == "fast") {
-    FastSchedule schedule;
-    schedule.machines.resize(machines);
-    for (const json::Value& row : slices) {
-      const json::Array& fields = row.as_array();
-      if (fields.size() != 5) {
-        throw std::invalid_argument(
-            "protocol: slices must be [machine, start, end, speed, job]");
-      }
-      schedule.machines[slice_machine(fields, machines)].push_back(
-          FastSlice{fields[1].as_double(), fields[2].as_double(),
-                    fields[3].as_double(), slice_job(fields[4])});
-    }
-    result.schedule = std::move(schedule);
-  } else {
-    throw std::invalid_argument("protocol: unknown schedule type '" + type + "'");
   }
 }
 
@@ -261,30 +171,6 @@ SolveOptions solve_options_from_json_value(const json::Value& value) {
   return options;
 }
 
-json::Value result_to_json_value(const SolveResult& result) {
-  json::Value out;
-  out.set("status", solve_status_name(result.status));
-  out.set("error_detail", result.error_detail);
-  out.set("energy", result.energy);
-  out.set("schedule", schedule_to_json(result));
-  return out;
-}
-
-SolveResult result_from_json_value(const json::Value& value) {
-  SolveResult result;
-  std::optional<SolveStatus> status =
-      solve_status_from_name(value.at("status").as_string());
-  if (!status) {
-    throw std::invalid_argument("protocol: unknown solve status '" +
-                                value.at("status").as_string() + "'");
-  }
-  result.status = *status;
-  result.error_detail = value.at("error_detail").as_string();
-  result.energy = value.at("energy").as_double();
-  schedule_from_json(value.at("schedule"), result);
-  return result;
-}
-
 std::string encode_request(const Request& request) {
   json::Value out;
   out.set("v", static_cast<double>(kProtocolVersion));
@@ -364,16 +250,34 @@ Request decode_request(std::string_view payload) {
   });
 }
 
+ResultsResponseBuilder::ResultsResponseBuilder(std::uint64_t id) {
+  out_ = R"({"v":)";
+  json::write_number(static_cast<double>(kProtocolVersion), out_);
+  out_ += R"(,"id":)";
+  json::write_number(static_cast<double>(id), out_);
+  out_ += R"(,"ok":true,"results":[)";
+}
+
+void ResultsResponseBuilder::add(const SolveResult& result) {
+  if (count_++ != 0) out_.push_back(',');
+  append_result_json(result, out_);
+}
+
+void ResultsResponseBuilder::add_encoded(std::string_view result_json) {
+  if (count_++ != 0) out_.push_back(',');
+  out_ += result_json;
+}
+
+std::string ResultsResponseBuilder::finish() && {
+  out_ += "]}";
+  return std::move(out_);
+}
+
 std::string encode_results_response(std::uint64_t id,
                                     std::span<const SolveResult> results) {
-  json::Value out = response_header(id, true);
-  json::Array encoded;
-  encoded.reserve(results.size());
-  for (const SolveResult& result : results) {
-    encoded.push_back(result_to_json_value(result));
-  }
-  out.set("results", std::move(encoded));
-  return json::serialize(out);
+  ResultsResponseBuilder builder(id);
+  for (const SolveResult& result : results) builder.add(result);
+  return std::move(builder).finish();
 }
 
 std::string encode_payload_response(std::uint64_t id, std::string_view key,
@@ -395,7 +299,49 @@ std::string encode_error_response(std::uint64_t id, ErrorCode code,
 
 Response decode_response(std::string_view payload) {
   return bad_request_scope([&] {
-    json::Value document = json::parse(payload);
+    // One pass: "results" streams straight into SolveResults; every other
+    // top-level member (all small) is read into a document and checked in
+    // the order below, so a response is judged the same whatever its member
+    // order. A results element that does not fit the schema is remembered,
+    // not thrown at once: the rest of the text must still be JSON, a wrong
+    // version still reports as such, and an ok:false response never looks
+    // at its results.
+    json::Cursor cursor(payload);
+    if (cursor.peek() != json::Cursor::Kind::kObject) {
+      (void)cursor.read_value();
+      cursor.finish();
+      check_version(json::Value());  // not an object: there is no "v"
+    }
+    json::Object members;
+    std::optional<std::vector<SolveResult>> results;
+    std::exception_ptr results_error;
+    if (cursor.begin_object()) {
+      do {
+        std::string_view key = cursor.key();
+        if (key == "results" && !results) {
+          results.emplace();
+          const json::Cursor::Mark start = cursor.mark();
+          try {
+            if (cursor.begin_array()) {
+              do {
+                results->push_back(read_result_json(cursor));
+              } while (cursor.next_element());
+            }
+          } catch (const json::SyntaxError&) {
+            throw;
+          } catch (...) {
+            results_error = std::current_exception();
+            cursor.rewind(start);
+            cursor.skip_value();
+          }
+        } else {
+          std::string name(key);
+          members.emplace_back(std::move(name), cursor.read_value());
+        }
+      } while (cursor.next_member());
+    }
+    cursor.finish();
+    json::Value document(std::move(members));
     check_version(document);
     Response response;
     response.id = id_from(document);
@@ -412,13 +358,12 @@ Response decode_response(std::string_view payload) {
       response.detail = error.at("detail").as_string();
       return response;
     }
-    if (const json::Value* results = document.find("results")) {
-      for (const json::Value& element : results->as_array()) {
-        response.results.push_back(result_from_json_value(element));
-      }
+    if (results) {
+      if (results_error) std::rethrow_exception(results_error);
+      response.results = std::move(*results);
     } else {
       // Verb-shaped payload: keep the whole document for the caller.
-      response.payload = document;
+      response.payload = std::move(document);
     }
     return response;
   });

@@ -31,7 +31,9 @@
 // the result's status ("invalid_options", "infeasible", ...) and its
 // error_detail, exactly as the in-process facade reports them. Exact schedules
 // travel as rational strings and energies at max_digits10, so a decoded result
-// is bit-identical to the in-process one.
+// is bit-identical to the in-process one. A result element's codec is
+// mpss/result_json.hpp, shared with the service's cache, which keeps a hit's
+// encoded element for the daemon to splice into later replies.
 
 #include <cstdint>
 #include <optional>
@@ -41,6 +43,7 @@
 #include <vector>
 
 #include "mpss/core/instance_json.hpp"
+#include "mpss/result_json.hpp"
 #include "mpss/solve.hpp"
 #include "mpss/util/json.hpp"
 
@@ -113,13 +116,26 @@ struct Request {
 [[nodiscard]] json::Value solve_options_to_json_value(const SolveOptions& options);
 [[nodiscard]] SolveOptions solve_options_from_json_value(const json::Value& value);
 
-/// SolveResult codec: status + error_detail + energy + schedule. SolveStats
-/// telemetry stays server-side (the daemon's Registry aggregates it).
-[[nodiscard]] json::Value result_to_json_value(const SolveResult& result);
-[[nodiscard]] SolveResult result_from_json_value(const json::Value& value);
-
+/// A results response; each result is encoded by append_result_json
+/// (result_json.hpp), whose SolveStats telemetry stays server-side.
 [[nodiscard]] std::string encode_results_response(
     std::uint64_t id, std::span<const SolveResult> results);
+
+/// Builds a results response one result at a time, from SolveResults or from
+/// elements already encoded by append_result_json (the daemon splices cached
+/// hits' stored bytes between freshly encoded misses). The bytes equal
+/// encode_results_response over the same results.
+class ResultsResponseBuilder {
+ public:
+  explicit ResultsResponseBuilder(std::uint64_t id);
+  void add(const SolveResult& result);
+  void add_encoded(std::string_view result_json);
+  [[nodiscard]] std::string finish() &&;
+
+ private:
+  std::string out_;
+  std::size_t count_ = 0;
+};
 /// Verb-shaped success payload under `key` ("stats", "health", "shutdown").
 [[nodiscard]] std::string encode_payload_response(std::uint64_t id,
                                                   std::string_view key,
@@ -137,7 +153,10 @@ struct Response {
   json::Value payload;                    // verb-shaped payload, else null
 };
 
-/// Throws ProtocolError(kBadRequest) on malformed documents.
+/// One pass: results decode straight from the text (no json::Value document);
+/// members may come in any order. Throws ProtocolError -- kUnsupportedVersion
+/// for a well-formed document without "v":1, kBadRequest for anything else
+/// malformed.
 [[nodiscard]] Response decode_response(std::string_view payload);
 
 }  // namespace mpss::net

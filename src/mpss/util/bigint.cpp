@@ -1,6 +1,7 @@
 #include "mpss/util/bigint.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <limits>
 #include <ostream>
 #include <stdexcept>
@@ -179,15 +180,49 @@ BigInt BigInt::from_string(std::string_view text) {
     pos = 1;
   }
   if (pos == text.size()) throw std::invalid_argument("BigInt::from_string: lone sign");
-  BigInt result;
-  for (; pos < text.size(); ++pos) {
-    char c = text[pos];
-    if (c < '0' || c > '9')
+  const std::string_view digits = text.substr(pos);
+  // Decimal digits, consumed in chunks of up to 9 (one < 10^9 word each).
+  auto chunk_value = [](std::string_view chunk) {
+    std::uint32_t value = 0;
+    auto [end, ec] = std::from_chars(chunk.data(), chunk.data() + chunk.size(), value);
+    // Unsigned from_chars takes no sign or space: it stops at any non-digit.
+    if (ec != std::errc{} || end != chunk.data() + chunk.size())
       throw std::invalid_argument("BigInt::from_string: non-digit character");
-    result *= BigInt(10);
-    result += BigInt(c - '0');
+    return value;
+  };
+  constexpr std::size_t kChunkDigits = 9;
+  constexpr std::uint64_t kChunkBase = 1000000000u;
+  if (digits.size() <= 2 * kChunkDigits) {
+    // At most 18 digits: the magnitude is below 10^18 < 2^63, so the value
+    // lands in the inline representation without touching limbs.
+    const std::size_t split = digits.size() > kChunkDigits ? digits.size() - kChunkDigits : 0;
+    std::uint64_t magnitude = split == 0 ? 0 : chunk_value(digits.substr(0, split));
+    magnitude = magnitude * (split == 0 ? 1 : kChunkBase) + chunk_value(digits.substr(split));
+    return from_u64(magnitude, negative);
   }
-  if (negative) result = result.negated();
+  // Longer numerals: limbs = limbs * 10^9 + chunk, in place, one chunk at a
+  // time (the leading chunk takes the remainder digits).
+  LimbVec limbs;
+  limbs.reserve(digits.size() / 9 + 2);
+  std::size_t at = 0;
+  std::size_t take = digits.size() % kChunkDigits;
+  if (take == 0) take = kChunkDigits;
+  while (at < digits.size()) {
+    std::string_view chunk = digits.substr(at, take);
+    DoubleLimb carry = chunk_value(chunk);
+    DoubleLimb scale = 1;
+    for (std::size_t i = 0; i < chunk.size(); ++i) scale *= 10;
+    for (Limb& limb : limbs) {
+      DoubleLimb cur = static_cast<DoubleLimb>(limb) * scale + carry;
+      limb = static_cast<Limb>(cur & 0xffffffffu);
+      carry = cur >> kLimbBits;
+    }
+    if (carry != 0) limbs.push_back(static_cast<Limb>(carry));
+    at += take;
+    take = kChunkDigits;
+  }
+  BigInt result;
+  result.adopt_limbs(std::move(limbs), negative);
   return result;
 }
 
@@ -570,6 +605,16 @@ BigInt BigInt::gcd(BigInt a, BigInt b) {
     a = std::move(b);
     b = std::move(r);
   }
+}
+
+void BigInt::append_to(std::string& out) const {
+  if (!small_repr()) {
+    out += to_string();
+    return;
+  }
+  char buffer[24];
+  auto [end, ec] = std::to_chars(buffer, buffer + sizeof buffer, small_);
+  out.append(buffer, end);
 }
 
 std::string BigInt::to_string() const {

@@ -50,8 +50,10 @@ class BigInt {
   BigInt& operator=(BigInt&& other) noexcept;
   ~BigInt();
 
-  /// Parses an optionally signed decimal string. Throws std::invalid_argument on
-  /// malformed input (empty, non-digits, lone sign).
+  /// Parses an optionally signed decimal string (leading zeros allowed).
+  /// Throws std::invalid_argument on malformed input (empty, non-digits, lone
+  /// sign). Up to 18 digits parse straight into the inline int64; longer
+  /// numerals accumulate nine digits per limb pass.
   static BigInt from_string(std::string_view text);
 
   [[nodiscard]] bool is_zero() const { return small_repr() ? small_ == 0 : limbs_.empty(); }
@@ -103,6 +105,8 @@ class BigInt {
 
   /// Decimal representation (with leading '-' when negative).
   [[nodiscard]] std::string to_string() const;
+  /// Appends to_string() to `out` (no temporary on the small path).
+  void append_to(std::string& out) const;
 
   /// Nearest double (may overflow to +/-inf for huge values).
   [[nodiscard]] double to_double() const;

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include "mpss/util/numeric_counters.hpp"
 #include "mpss/util/random.hpp"
@@ -361,6 +362,56 @@ TEST(BigInt, RingAxiomsRandomized) {
     EXPECT_EQ(a * (b + c), a * b + a * c);
     EXPECT_EQ(a - a, BigInt(0));
     EXPECT_EQ(a + (-a), BigInt(0));
+  }
+}
+
+TEST(BigInt, FromStringWordBoundaries) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  // 18 digits: the inline fast path; 19 digits: the limb path, demoted back
+  // to the inline form whenever the value fits.
+  EXPECT_EQ(BigInt::from_string("999999999999999999"), BigInt(999999999999999999));
+  EXPECT_TRUE(BigInt::from_string("999999999999999999").is_small());
+  EXPECT_EQ(BigInt::from_string("9223372036854775807"), BigInt(kMax));
+  EXPECT_TRUE(BigInt::from_string("9223372036854775807").is_small());
+  EXPECT_EQ(BigInt::from_string("-9223372036854775807"), BigInt(-kMax));
+  EXPECT_EQ(BigInt::from_string("-9223372036854775808"), BigInt(kMin));
+  EXPECT_TRUE(BigInt::from_string("-9223372036854775808").is_small());
+  BigInt past_max = BigInt::from_string("9223372036854775808");
+  EXPECT_FALSE(past_max.is_small());
+  EXPECT_EQ(past_max, BigInt(kMax) + BigInt(1));
+  EXPECT_EQ(past_max.to_string(), "9223372036854775808");
+  BigInt twenty = BigInt::from_string("-18446744073709551616");  // -2^64
+  EXPECT_EQ(twenty, BigInt(kMin) * BigInt(2));
+  EXPECT_EQ(BigInt::from_string("12345678901234567890").to_string(), "12345678901234567890");
+  // Leading zeros never push a small value onto the limb path for good.
+  BigInt padded = BigInt::from_string("0000000000000000000000000042");
+  EXPECT_EQ(padded, BigInt(42));
+  EXPECT_TRUE(padded.is_small());
+  EXPECT_EQ(BigInt::from_string("+5"), BigInt(5));
+  EXPECT_EQ(BigInt::from_string("-0"), BigInt(0));
+  EXPECT_EQ(BigInt::from_string("-0000000000000000000000"), BigInt(0));
+  EXPECT_THROW((void)BigInt::from_string("+-5"), std::invalid_argument);
+  EXPECT_THROW((void)BigInt::from_string("12345678901234567890x"), std::invalid_argument);
+  EXPECT_THROW((void)BigInt::from_string("1234567890 1234567890"), std::invalid_argument);
+  EXPECT_THROW((void)BigInt::from_string(" 5"), std::invalid_argument);
+}
+
+TEST(BigInt, FromStringAgreesWithDigitByDigitAccumulation) {
+  Xoshiro256 rng(424242);
+  for (int round = 0; round < 300; ++round) {
+    std::size_t digits = 1 + rng.below(80);
+    std::string text = rng.below(2) == 0 ? "" : "-";
+    BigInt expected;
+    for (std::size_t i = 0; i < digits; ++i) {
+      int digit = static_cast<int>(rng.below(10));
+      text.push_back(static_cast<char>('0' + digit));
+      expected = expected * BigInt(10) + BigInt(digit);
+    }
+    if (text[0] == '-') expected = expected.negated();
+    BigInt parsed = BigInt::from_string(text);
+    EXPECT_EQ(parsed, expected) << text;
+    EXPECT_EQ(parsed.is_small(), parsed.fits_int64()) << text;  // canonical form
   }
 }
 

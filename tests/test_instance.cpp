@@ -1,9 +1,14 @@
 // Instance as a first-class value (S45): PowerSpec, equality, fingerprints,
 // and the canonical JSON codec every text consumer shares.
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +16,8 @@
 #include "mpss/core/job.hpp"
 #include "mpss/core/power.hpp"
 #include "mpss/solve.hpp"
+#include "mpss/util/json.hpp"
+#include "mpss/util/random.hpp"
 #include "mpss/workload/generators.hpp"
 #include "mpss/workload/traces.hpp"
 
@@ -254,6 +261,120 @@ TEST(InstancePower, ErrorDetailIsEmptyExactlyWhenOk) {
   SolveResult invalid = solve(small_instance(), bad);
   EXPECT_EQ(invalid.status, SolveStatus::kInvalidOptions);
   EXPECT_FALSE(invalid.error_detail.empty());
+}
+
+// ---- the JSON cursor (the one tokenizer under parse()) -----------------------
+
+TEST(JsonCursor, WalksADocumentWithoutBuildingIt) {
+  json::Cursor cursor(R"( {"a\u0062":[1, "x\n", true, null], "c": {"d": -2.5e1}} )");
+  ASSERT_EQ(cursor.peek(), json::Cursor::Kind::kObject);
+  ASSERT_TRUE(cursor.begin_object());
+  EXPECT_EQ(cursor.key(), "ab");
+  ASSERT_TRUE(cursor.begin_array());
+  EXPECT_EQ(cursor.read_number(), 1.0);
+  ASSERT_TRUE(cursor.next_element());
+  EXPECT_EQ(cursor.read_string(), "x\n");
+  ASSERT_TRUE(cursor.next_element());
+  const json::Cursor::Mark at_bool = cursor.mark();
+  EXPECT_THROW((void)cursor.read_number(), std::invalid_argument);  // wrong type
+  EXPECT_TRUE(cursor.read_bool());
+  cursor.rewind(at_bool);
+  EXPECT_TRUE(cursor.read_bool());
+  ASSERT_TRUE(cursor.next_element());
+  cursor.read_null();
+  EXPECT_FALSE(cursor.next_element());
+  ASSERT_TRUE(cursor.next_member());
+  EXPECT_EQ(cursor.key(), "c");
+  cursor.skip_value();
+  EXPECT_FALSE(cursor.next_member());
+  cursor.finish();
+}
+
+TEST(JsonCursor, WrongTypesAreNotSyntaxErrors) {
+  auto kind_of_failure = [](const char* text, auto read) {
+    json::Cursor cursor(text);
+    try {
+      read(cursor);
+    } catch (const json::SyntaxError&) {
+      return 2;
+    } catch (const std::invalid_argument&) {
+      return 1;
+    }
+    return 0;
+  };
+  auto number = [](json::Cursor& c) { (void)c.read_number(); };
+  auto string = [](json::Cursor& c) { (void)c.read_string(); };
+  auto object = [](json::Cursor& c) { (void)c.begin_object(); };
+  EXPECT_EQ(kind_of_failure("\"7\"", number), 1);
+  EXPECT_EQ(kind_of_failure("7", string), 1);
+  EXPECT_EQ(kind_of_failure("[]", object), 1);
+  EXPECT_EQ(kind_of_failure("-", number), 2);
+  EXPECT_EQ(kind_of_failure("1e", number), 2);
+  EXPECT_EQ(kind_of_failure("\"ab", string), 2);
+  EXPECT_EQ(kind_of_failure("\"\\ud800\"", string), 2);
+  EXPECT_EQ(kind_of_failure("", number), 2);
+  EXPECT_THROW((void)json::parse("[1,]"), json::SyntaxError);
+  EXPECT_THROW((void)json::parse("{\"a\":1,}"), json::SyntaxError);
+  EXPECT_THROW((void)json::parse("{\"a\" 1}"), json::SyntaxError);
+  EXPECT_THROW((void)json::parse("nul"), json::SyntaxError);
+  EXPECT_THROW((void)json::parse("1 2"), json::SyntaxError);
+}
+
+TEST(JsonCursor, DepthCapMatchesBetweenParseAndSkip) {
+  auto nested = [](std::size_t arrays) {
+    return std::string(arrays, '[') + std::string(arrays, ']');
+  };
+  const std::size_t deepest = json::kMaxDepth + 1;  // innermost array at depth 96
+  EXPECT_NO_THROW((void)json::parse(nested(deepest)));
+  EXPECT_THROW((void)json::parse(nested(deepest + 1)), json::SyntaxError);
+  const std::string ok_text = nested(deepest);
+  const std::string deep_text = nested(deepest + 1);
+  json::Cursor ok(ok_text);  // the cursor views the text; it must outlive it
+  EXPECT_NO_THROW(ok.skip_value());
+  json::Cursor too_deep(deep_text);
+  EXPECT_THROW(too_deep.skip_value(), json::SyntaxError);
+}
+
+TEST(JsonCursor, NumbersAreBitIdenticalToStrtod) {
+  std::vector<std::string> tokens = {
+      "0", "-0", "1.", "1.e5", "00.5", "1e400", "-1e400", "1e-400", "-1e-400",
+      "4.9e-324", "2.4e-324", "2.5e-324", "1e-310", "1.7976931348623158e308",
+      "1.7976931348623159e308", "2.2250738585072011e-308", "0.1", "1E+5",
+      "123456789012345678901234567890", "9007199254740993"};
+  Xoshiro256 rng(99);
+  for (int i = 0; i < 3000; ++i) {
+    char buffer[48];
+    double value = std::bit_cast<double>(rng());
+    if (!std::isfinite(value)) continue;
+    std::snprintf(buffer, sizeof buffer, "%.*g", static_cast<int>(1 + rng.below(20)), value);
+    tokens.emplace_back(buffer);
+  }
+  for (const std::string& token : tokens) {
+    json::Cursor cursor(token);
+    const double got = cursor.read_number();
+    const double want = std::strtod(token.c_str(), nullptr);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+        << token;
+  }
+}
+
+TEST(JsonCursor, WriteNumberMatchesPrintf) {
+  Xoshiro256 rng(5);
+  for (int i = 0; i < 5000; ++i) {
+    double value = i % 2 == 0 ? std::bit_cast<double>(rng())
+                              : static_cast<double>(rng.below(1u << 20)) / 64.0;
+    if (!std::isfinite(value)) continue;
+    std::string written;
+    json::write_number(value, written);
+    char expected[40];
+    if (std::fabs(value) < 1e15 &&
+        value == static_cast<double>(static_cast<long long>(value))) {
+      std::snprintf(expected, sizeof expected, "%lld", static_cast<long long>(value));
+    } else {
+      std::snprintf(expected, sizeof expected, "%.17g", value);
+    }
+    EXPECT_EQ(written, expected);
+  }
 }
 
 }  // namespace

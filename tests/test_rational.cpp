@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include "mpss/util/numeric_counters.hpp"
 #include "mpss/util/random.hpp"
@@ -195,6 +196,35 @@ TEST(Rational, SmallVsForcedLimbArithmeticDifferential) {
 TEST(Rational, HashConsistentWithEquality) {
   EXPECT_EQ(Q(2, 4).hash(), Q(1, 2).hash());
   EXPECT_NE(Q(1, 2).hash(), Q(1, 3).hash());
+}
+
+TEST(Rational, FromStringWordBoundariesAndNormalization) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(Q::from_string("4/6"), Q(2, 3));
+  EXPECT_EQ(Q::from_string("4/6").to_string(), "2/3");
+  EXPECT_EQ(Q::from_string("0/7"), Q(0));
+  EXPECT_TRUE(Q::from_string("0/7").den().is_one());
+  EXPECT_EQ(Q::from_string("-0"), Q(0));
+  EXPECT_EQ(Q::from_string("+5"), Q(5));
+  EXPECT_EQ(Q::from_string("3/-6"), Q(-1, 2));
+  EXPECT_EQ(Q::from_string("0003/0006"), Q(1, 2));
+  EXPECT_EQ(Q::from_string("9223372036854775807/9223372036854775807"), Q(1));
+  EXPECT_EQ(Q::from_string("-9223372036854775808"), Q(kMin));
+  EXPECT_EQ(Q::from_string("-9223372036854775808/2"), Q(kMin / 2));
+  EXPECT_EQ(Q::from_string("1/9223372036854775807"), Q(BigInt(1), BigInt(kMax)));
+  Q past = Q::from_string("18446744073709551616/6");  // 2^64 / 6 = 2^63 / 3
+  EXPECT_EQ(past, Q(BigInt(kMax) + BigInt(1), BigInt(3)));
+  EXPECT_EQ(past.to_string(), "9223372036854775808/3");
+  EXPECT_THROW((void)Q::from_string("1/0"), std::domain_error);
+  EXPECT_THROW((void)Q::from_string("1/00000000000000000000"), std::domain_error);
+  EXPECT_THROW((void)Q::from_string("/2"), std::invalid_argument);
+  EXPECT_THROW((void)Q::from_string("1/"), std::invalid_argument);
+  EXPECT_THROW((void)Q::from_string("1/2/3"), std::invalid_argument);
+  std::string appended = "x";
+  Q(-7, 3).append_to(appended);
+  Q(4).append_to(appended);
+  EXPECT_EQ(appended, "x-7/34");
 }
 
 }  // namespace

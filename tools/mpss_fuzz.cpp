@@ -2,7 +2,9 @@
 // (S48). Three modes, each deterministic under --seed:
 //
 //   --frames       random and mutated byte streams into read_frame and the
-//                  protocol decoders: every input must parse, be cleanly
+//                  protocol decoders (mutated requests into both decoders,
+//                  mutated results / error / stats responses into
+//                  decode_response): every input must parse, be cleanly
 //                  rejected (FrameError / ProtocolError), or hit clean EOF --
 //                  never crash, hang, or leak another exception type.
 //   --instances    mutated instance JSON into instance_from_json: success or
@@ -35,6 +37,7 @@
 #include "mpss/net/protocol.hpp"
 #include "mpss/solve.hpp"
 #include "mpss/util/cli.hpp"
+#include "mpss/util/json.hpp"
 #include "mpss/util/random.hpp"
 #include "mpss/workload/generators.hpp"
 
@@ -111,6 +114,43 @@ std::string seed_request_json(Xoshiro256& rng) {
     }
   }
   return encode_request(request);
+}
+
+/// A valid response to mutate from, varied by seed: a results frame from a
+/// small solve (exact, fast, or the schedule-less LP), an error frame, or a
+/// stats payload.
+std::string seed_response_json(Xoshiro256& rng) {
+  const std::uint64_t id = rng.below(1000);
+  switch (rng.below(3)) {
+    case 0: {
+      mpss::UniformWorkload workload;
+      workload.jobs = 1 + rng.below(4);
+      workload.machines = 1 + rng.below(3);
+      workload.horizon = 12;
+      std::vector<mpss::SolveResult> results;
+      const std::size_t count = 1 + rng.below(3);
+      for (std::size_t i = 0; i < count; ++i) {
+        mpss::SolveOptions options;
+        const mpss::Engine engines[] = {mpss::Engine::kExact, mpss::Engine::kFast,
+                                        mpss::Engine::kLp};
+        options.engine = engines[rng.below(3)];
+        results.push_back(mpss::solve(mpss::generate_uniform(workload, rng()), options));
+      }
+      return mpss::net::encode_results_response(id, results);
+    }
+    case 1:
+      return mpss::net::encode_error_response(id, mpss::net::ErrorCode::kQueueFull,
+                                              "admission failed: queue_full");
+    default: {
+      mpss::json::Value cache;
+      cache.set("hits", static_cast<double>(rng.below(100)));
+      cache.set("misses", static_cast<double>(rng.below(100)));
+      mpss::json::Value stats;
+      stats.set("queue_depth", 0);
+      stats.set("cache", std::move(cache));
+      return mpss::net::encode_payload_response(id, "stats", std::move(stats));
+    }
+  }
 }
 
 /// Feed `bytes` through a socketpair into read_frame (writer closed first, so
@@ -190,6 +230,18 @@ int run_frames(std::int64_t runs, std::uint64_t seed, Findings& findings,
       findings.report("frames", case_seed,
                       std::string("decode_response leaked ") +
                           unexpected.what() + " on: " + mutated);
+    }
+
+    // 4. Mutated valid responses: the shapes decode_response really parses,
+    //    so mutations land inside results, slices and rationals.
+    const std::string response = mutate(seed_response_json(rng), rng);
+    try {
+      (void)mpss::net::decode_response(response);
+    } catch (const mpss::net::ProtocolError&) {
+    } catch (const std::exception& unexpected) {
+      findings.report("frames", case_seed,
+                      std::string("decode_response leaked ") +
+                          unexpected.what() + " on response: " + response);
     }
   }
   std::printf("frames: %lld cases\n", static_cast<long long>(done));
